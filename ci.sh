@@ -346,4 +346,12 @@ grep -q '"kind"' "$flight_file" || {
     exit 1
 }
 
+echo "==> farm_e2e unit tests (the benchmark builds against these crates)"
+cargo test --offline -q --manifest-path farm_e2e/Cargo.toml
+
+echo "==> farm_e2e --quick (all four workloads checked against the serial reference)"
+# Exits non-zero on any result that differs from the serial replay or
+# any offline campaign that loses a paper shape.
+cargo bench --offline -q --manifest-path farm_e2e/Cargo.toml --bench farm_e2e -- --quick
+
 echo "==> ci.sh: all gates passed"

@@ -13,11 +13,14 @@
 use sim_rt::json;
 use sim_rt::pool::Pool;
 use sim_rt::ser::Value;
-use sim_store::{Checkpoint, Digest, Store};
+use sim_store::{Digest, Store};
 use trace_stats::{pearson, LinearFit, Summary};
 use zynq_soc::{PowerDomain, SimTime};
 
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
+
+/// Verb of the store records that hold sweep rows.
+const SWEEP_VERB: &str = "characterize-sweep";
 
 /// Parameters of the characterization sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,9 +88,10 @@ impl CharacterizeConfig {
         Ok(())
     }
 
-    /// Content digest of the sweep (parameterized by the platform seed the
-    /// caller's factory uses), addressing its checkpoint file.
-    pub fn sweep_key(&self, seed: u64) -> Digest {
+    /// Content digest of row `index` of the sweep (parameterized by the
+    /// platform seed the caller's factory uses), addressing its record in
+    /// a result store.
+    pub fn point_key(&self, seed: u64, index: u64) -> Digest {
         let content = Value::Object(vec![
             (
                 "levels".into(),
@@ -98,6 +102,7 @@ impl CharacterizeConfig {
                         .collect(),
                 ),
             ),
+            ("point".into(), Value::from(index)),
             ("sample_rate_hz".into(), Value::from(self.sample_rate_hz)),
             (
                 "samples_per_level".into(),
@@ -105,7 +110,7 @@ impl CharacterizeConfig {
             ),
             ("settle_ns".into(), Value::from(self.settle.as_nanos())),
         ]);
-        Store::key("characterize-sweep", seed, &content)
+        Store::key(SWEEP_VERB, seed, &content)
     }
 }
 
@@ -126,7 +131,7 @@ pub struct LevelRow {
     pub tdc_code: Option<Summary>,
 }
 
-/// Checkpoint codec: a [`Summary`] as a stable JSON value (all fields
+/// Store codec: a [`Summary`] as a stable JSON value (all fields
 /// finite, so shortest-roundtrip floats survive bit-exactly).
 fn summary_to_value(s: &Summary) -> Value {
     Value::Object(vec![
@@ -153,7 +158,7 @@ fn summary_from_value(v: &Value) -> Option<Summary> {
 }
 
 impl LevelRow {
-    /// Checkpoint codec: the row as a stable JSON value. Optional baseline
+    /// Store codec: the row as a stable JSON value. Optional baseline
     /// columns encode as `null` so a resume distinguishes "not deployed"
     /// from "absent field".
     pub fn to_value(&self) -> Value {
@@ -174,7 +179,7 @@ impl LevelRow {
         ])
     }
 
-    /// Decodes a checkpointed row; `None` for any schema mismatch (the
+    /// Decodes a stored row; `None` for any schema mismatch (the
     /// caller recomputes the level).
     pub fn from_json(line: &str) -> Option<LevelRow> {
         let v = json::parse(line).ok()?;
@@ -292,30 +297,43 @@ pub fn run_parallel(
     config: &CharacterizeConfig,
     pool: &Pool,
 ) -> Result<CharacterizationReport> {
-    run_parallel_checkpointed(factory, config, pool, &Checkpoint::in_memory())
+    sweep_parallel(factory, config, pool, None)
 }
 
-/// [`run_parallel`] persisting every finished level row to `ckpt` as it
-/// lands, indexed by the level's position in `config.levels`. A sweep
-/// interrupted mid-flight resumes by rerunning with the same checkpoint:
-/// persisted rows are decoded instead of re-measured, and the resumed
-/// report is byte-identical to an uninterrupted run.
+/// [`run_parallel`] storing every finished level row in `store` as it
+/// lands, under `config.point_key(seed, i)` for the level's position `i`
+/// in `config.levels`; `seed` is the platform seed the factory uses. A
+/// sweep interrupted mid-flight resumes by rerunning over the same
+/// persistent store: stored rows are decoded instead of re-measured, and
+/// the resumed report is byte-identical to an uninterrupted run.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`run_parallel`]. A checkpoint record that fails
-/// to decode is re-measured, not an error.
+/// Same failure modes as [`run_parallel`]. A stored record that fails to
+/// decode is re-measured, not an error.
 pub fn run_parallel_checkpointed(
     factory: impl Fn(u32) -> Result<Platform> + Sync,
     config: &CharacterizeConfig,
     pool: &Pool,
-    ckpt: &Checkpoint,
+    store: &Store,
+    seed: u64,
+) -> Result<CharacterizationReport> {
+    sweep_parallel(factory, config, pool, Some((store, seed)))
+}
+
+fn sweep_parallel(
+    factory: impl Fn(u32) -> Result<Platform> + Sync,
+    config: &CharacterizeConfig,
+    pool: &Pool,
+    store: Option<(&Store, u64)>,
 ) -> Result<CharacterizationReport> {
     let _trace = obs::trace::span("core.characterize", "sweep");
     config.validate()?;
     let rows = pool
         .par_map(&config.levels, |i, &level| -> Result<LevelRow> {
-            if let Some(row) = ckpt.get(i as u64).as_deref().and_then(LevelRow::from_json) {
+            let record = store.map(|(store, seed)| (store, seed, config.point_key(seed, i as u64)));
+            let stored = record.as_ref().and_then(|(store, _, key)| store.get(key));
+            if let Some(row) = stored.as_deref().and_then(LevelRow::from_json) {
                 return Ok(row);
             }
             let platform = factory(level)?;
@@ -328,7 +346,9 @@ pub fn run_parallel_checkpointed(
             let sampler = CurrentSampler::unprivileged(&platform);
             let cursor = SimTime::from_ms(40) + config.settle;
             let row = measure_row(&platform, &sampler, config, level, cursor)?;
-            ckpt.put(i as u64, &row.to_value().to_json());
+            if let Some((store, seed, key)) = &record {
+                store.insert(key, SWEEP_VERB, *seed, &row.to_value().to_json());
+            }
             Ok(row)
         })
         .into_iter()

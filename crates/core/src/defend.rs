@@ -21,7 +21,7 @@ use sim_rt::json;
 use sim_rt::pool::Pool;
 use sim_rt::rng::derive_seed;
 use sim_rt::ser::Value;
-use sim_store::{Checkpoint, Digest, Store};
+use sim_store::{Digest, Store};
 use trace_stats::roc::{RocCurve, RocPoint};
 
 use fpga_fabric::covert::CovertConfig;
@@ -43,6 +43,9 @@ pub const UNDEFENDED: Hardener<'static> = &|_| Ok(());
 /// (`derive_seed(seed, DEFENSE_STREAM)`), keeping defense randomness
 /// disjoint from every attack stream.
 pub const DEFENSE_STREAM: u64 = 0xDEF0;
+
+/// Verb of the store records that hold sweep points.
+const SWEEP_VERB: &str = "defend-sweep";
 
 /// Which attack a defend sweep measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -186,10 +189,11 @@ impl DefendConfig {
             .join("+")
     }
 
-    /// Content digest of the whole sweep, addressing its checkpoint file:
-    /// two sweeps share persisted points exactly when every
-    /// result-affecting parameter matches.
-    pub fn sweep_key(&self) -> Digest {
+    /// Content digest of sweep point `index` (0 is the undefended
+    /// baseline, `i + 1` is `strengths[i]`), addressing its record in a
+    /// result store: two sweeps share a stored point exactly when the
+    /// index and every result-affecting parameter match.
+    pub fn point_key(&self, index: u64) -> Digest {
         let content = Value::Object(vec![
             ("attack".into(), Value::Str(self.attack.tag().into())),
             ("covert".into(), Value::Str(format!("{:?}", self.covert))),
@@ -207,6 +211,7 @@ impl DefendConfig {
                         .collect(),
                 ),
             ),
+            ("point".into(), Value::from(index)),
             ("rsa".into(), Value::Str(format!("{:?}", self.rsa))),
             ("stack".into(), Value::Str(self.stack_tags())),
             (
@@ -214,7 +219,7 @@ impl DefendConfig {
                 Value::Array(self.strengths.iter().map(|&s| Value::from(s)).collect()),
             ),
         ]);
-        Store::key("defend-sweep", self.seed, &content)
+        Store::key(SWEEP_VERB, self.seed, &content)
     }
 }
 
@@ -232,7 +237,7 @@ pub struct DefendPoint {
 }
 
 impl DefendPoint {
-    /// Checkpoint codec: the point as a stable JSON value. `f64` fields
+    /// Store codec: the point as a stable JSON value. `f64` fields
     /// survive bit-exactly — the serializer emits shortest-roundtrip
     /// floats, so a resumed sweep is byte-identical to a fresh one.
     pub fn to_value(&self) -> Value {
@@ -243,7 +248,7 @@ impl DefendPoint {
         ])
     }
 
-    /// Decodes a checkpointed point; `None` for any schema mismatch (the
+    /// Decodes a stored point; `None` for any schema mismatch (the
     /// caller recomputes — a damaged record only costs work, never
     /// correctness).
     pub fn from_json(line: &str) -> Option<DefendPoint> {
@@ -379,42 +384,37 @@ pub fn run(config: &DefendConfig) -> Result<DefendReport> {
 ///
 /// Propagates configuration and attack failures.
 pub fn run_with(config: &DefendConfig, pool: &Pool) -> Result<DefendReport> {
-    run_checkpointed(config, pool, &Checkpoint::in_memory())
+    sweep(config, pool, None)
 }
 
-/// [`run_with`] persisting every finished point to `ckpt` as it lands:
-/// point 0 is the undefended baseline, point `i + 1` is `strengths[i]`.
-/// A sweep interrupted mid-flight resumes by rerunning with the same
-/// checkpoint — already-persisted points are decoded instead of
-/// recomputed, and the resumed report is byte-identical to an
+/// [`run_with`] storing every finished point in `store` as it lands, under
+/// [`DefendConfig::point_key`]. A sweep interrupted mid-flight resumes by
+/// rerunning over the same persistent store: stored points are decoded
+/// instead of recomputed, and the resumed report is byte-identical to an
 /// uninterrupted run (the codec round-trips `f64` bit-exactly).
-///
-/// Pass [`Checkpoint::in_memory`] to opt out of persistence (that is all
-/// [`run_with`] does).
 ///
 /// # Errors
 ///
-/// Propagates configuration and attack failures. A checkpoint record that
+/// Propagates configuration and attack failures. A stored record that
 /// fails to decode is recomputed, not an error.
-pub fn run_checkpointed(
-    config: &DefendConfig,
-    pool: &Pool,
-    ckpt: &Checkpoint,
-) -> Result<DefendReport> {
+pub fn run_checkpointed(config: &DefendConfig, pool: &Pool, store: &Store) -> Result<DefendReport> {
+    sweep(config, pool, Some(store))
+}
+
+fn sweep(config: &DefendConfig, pool: &Pool, store: Option<&Store>) -> Result<DefendReport> {
     config.validate()?;
     obs::counter!("defend.sweeps").inc();
     obs::info!(
         "core.defend",
         "defend sweep started";
         "attack" => config.attack.tag(),
-        "points" => config.strengths.len() as u64,
-        "resumable" => ckpt.len() as u64
+        "points" => config.strengths.len() as u64
     );
-    let baseline = checkpointed_point(ckpt, 0, || attack_point(config, None))?;
+    let baseline = stored_point(config, store, 0, || attack_point(config, None))?;
     let indices: Vec<usize> = (0..config.strengths.len()).collect();
     let points: Vec<DefendPoint> = pool
         .par_map(&indices, |_, &i| {
-            checkpointed_point(ckpt, i as u64 + 1, || {
+            stored_point(config, store, i as u64 + 1, || {
                 attack_point(config, config.strengths.get(i).copied())
             })
         })
@@ -439,18 +439,24 @@ pub fn run_checkpointed(
     })
 }
 
-/// Serves point `index` from `ckpt` when a decodable record exists,
-/// otherwise computes it via `compute` and persists the result.
-fn checkpointed_point(
-    ckpt: &Checkpoint,
+/// Serves point `index` from `store` when a decodable record exists,
+/// otherwise computes it via `compute` and stores the result. Without a
+/// store the point is simply computed.
+fn stored_point(
+    config: &DefendConfig,
+    store: Option<&Store>,
     index: u64,
     compute: impl FnOnce() -> Result<DefendPoint>,
 ) -> Result<DefendPoint> {
-    if let Some(point) = ckpt.get(index).as_deref().and_then(DefendPoint::from_json) {
+    let Some(store) = store else {
+        return compute();
+    };
+    let key = config.point_key(index);
+    if let Some(point) = store.get(&key).as_deref().and_then(DefendPoint::from_json) {
         return Ok(point);
     }
     let point = compute()?;
-    ckpt.put(index, &point.to_value().to_json());
+    store.insert(&key, SWEEP_VERB, config.seed, &point.to_value().to_json());
     Ok(point)
 }
 

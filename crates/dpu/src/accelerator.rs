@@ -131,13 +131,11 @@ impl DpuAccelerator {
             loaded_at: at,
             pre_post,
         });
-        zynq_soc::invalidate_load_caches();
     }
 
     /// Stops inference and unloads the model.
     pub fn unload(&self) {
         *self.state.write().expect("dpu state lock poisoned") = None;
-        zynq_soc::invalidate_load_caches();
     }
 
     /// Name of the loaded model, if any.

@@ -139,7 +139,6 @@ impl EnclaveCircuit {
     /// invisible to the attacker).
     pub fn run(&self, task: EnclaveTask) {
         self.task.store(task.encode(), Ordering::Release);
-        zynq_soc::invalidate_load_caches();
     }
 
     /// The task currently executing.

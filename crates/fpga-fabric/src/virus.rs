@@ -177,7 +177,6 @@ impl PowerVirusArray {
             });
         }
         self.active_groups.store(n, Ordering::Release);
-        zynq_soc::invalidate_load_caches();
         obs::counter!("fabric.virus.activations").inc();
         obs::gauge!("fabric.virus.active_groups").set(n as f64);
         Ok(())

@@ -1,9 +1,9 @@
 //! Debug-build lock-order watchdog.
 //!
-//! The sampling fast path holds several mutexes in a fixed nested order
-//! (hwmon clock → sensor → operating-point cache); nothing in the type
-//! system stops a future change from taking them the other way round and
-//! deadlocking under load. [`TrackedMutex`] is a drop-in `Mutex` wrapper
+//! The sampling fast path holds its mutexes in a fixed nested order
+//! (hwmon clock → sensor); nothing in the type system stops a future
+//! change from taking them the other way round and deadlocking under
+//! load. [`TrackedMutex`] is a drop-in `Mutex` wrapper
 //! that, in debug builds, records every *acquired-while-holding* pair in a
 //! process-global order graph and detects cycles (the classic lockdep
 //! check): an `A → B` edge followed by a `B → A` acquisition anywhere in

@@ -110,8 +110,9 @@ impl Farm {
     }
 
     /// Checks out a free board, blocking until one is available. Prefers
-    /// the board whose split seed equals `seed` so unpinned requests hit
-    /// the cached platform instead of constructing a fresh one.
+    /// the board whose split seed equals `seed`, so a request lands on the
+    /// board booted from its own seed when that board is free. No platform
+    /// is cached either way: every campaign run re-images (see [`Board`]).
     pub fn checkout(&self, seed: u64) -> Board {
         let mut inner = self
             .inner

@@ -74,11 +74,7 @@ const PINNED_METRICS: &[&str] = &[
     "serve.stats.requests",
     "serve.timeouts",
     "serve.tx_errors",
-    "soc.oppoint.cache_hit",
-    "soc.oppoint.cache_miss",
     "store.bytes",
-    "store.checkpoint.points",
-    "store.checkpoint.resumed",
     "store.decode_errors",
     "store.entries",
     "store.evictions",

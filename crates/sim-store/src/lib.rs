@@ -7,9 +7,11 @@
 //! end-to-end: results are addressed by a 256-bit [`Digest`] over a
 //! canonical preimage of the request triple, kept in a bounded sharded
 //! in-memory hot tier ([`hot::HotTier`]) backed by CRC-framed JSONL
-//! segment files ([`segment::Persist`]), and long multi-point sweeps
-//! persist per-point progress through [`Checkpoint`] so a drain resumes
-//! instead of restarting.
+//! segment files ([`segment::Persist`]). Multi-point sweeps can also
+//! store each finished point as an ordinary record under a per-point
+//! digest, so a sweep whose process dies resumes from the points it
+//! already computed. The server does not do this: a drain finishes the
+//! work it admitted, and only whole results are stored.
 //!
 //! Canonicalization matters: the digest preimage uses
 //! [`sim_rt::ser::Value::to_canonical_json`] (sorted keys, `-0.0`
@@ -35,7 +37,6 @@
 //! assert_eq!(store.get(&key).as_deref(), Some("{\"top1\":0.99}"));
 //! ```
 
-pub mod checkpoint;
 pub mod digest;
 pub mod hot;
 pub mod segment;
@@ -46,7 +47,6 @@ use std::sync::{Arc, Mutex};
 
 use sim_rt::ser::Value;
 
-pub use checkpoint::Checkpoint;
 pub use digest::Digest;
 use hot::HotTier;
 use segment::Persist;

@@ -42,7 +42,6 @@ pub mod cpu;
 mod domain;
 pub mod dvfs;
 mod noise;
-mod oppoint;
 mod pdn;
 mod power;
 pub mod thermal;
@@ -52,10 +51,6 @@ pub use domain::PowerDomain;
 pub use noise::{
     hash01, hash01_bucket_term, hash01_finish, hash01_stream_key, hash_gauss, GaussianNoise,
 };
-pub use oppoint::{OpPointCache, RailOperatingPoint};
 pub use pdn::{Pdn, VoltageBand};
-pub use power::{
-    invalidate_load_caches, load_control_epoch, CompositeLoad, ConstantLoad, PowerLoad,
-    StaticFabricLoad,
-};
+pub use power::{CompositeLoad, ConstantLoad, PowerLoad, StaticFabricLoad};
 pub use time::SimTime;

@@ -1,32 +1,6 @@
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::{PowerDomain, SimTime};
-
-/// Process-global generation counter for load-control state.
-///
-/// Operating-point caches key their entries by `(domain, t)` and a snapshot
-/// of this epoch; any control-state change (virus group activation, RSA
-/// start/stop, DPU model load, a new load attached to a rail) bumps it via
-/// [`invalidate_load_caches`], instantly invalidating every cached entry
-/// without the mutator having to know which caches exist.
-static LOAD_CONTROL_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Current load-control epoch. Snapshot it *before* evaluating loads, and
-/// tag cache entries with the snapshot so a concurrent control change can
-/// only ever invalidate, never resurrect, an entry.
-pub fn load_control_epoch() -> u64 {
-    LOAD_CONTROL_EPOCH.load(Ordering::Acquire)
-}
-
-/// Invalidates every operating-point cache in the process.
-///
-/// Every API that changes a load's *control state* (anything that alters
-/// the value a future `current_ma(t, d)` call returns for the same `(t, d)`)
-/// must call this after the change is visible.
-pub fn invalidate_load_caches() {
-    LOAD_CONTROL_EPOCH.fetch_add(1, Ordering::AcqRel);
-}
 
 /// A component that draws current from the SoC's monitored rails.
 ///
@@ -384,15 +358,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompositeLoad>();
         assert_send_sync::<Arc<dyn PowerLoad>>();
-    }
-
-    #[test]
-    fn epoch_moves_only_on_invalidation() {
-        let a = crate::load_control_epoch();
-        let b = crate::load_control_epoch();
-        assert_eq!(a, b);
-        crate::invalidate_load_caches();
-        assert!(crate::load_control_epoch() > a);
     }
 
     sim_rt::prop_check! {

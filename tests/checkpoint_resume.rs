@@ -1,18 +1,20 @@
-//! Checkpoint/resume contracts of the sweep verbs.
+//! Resume contracts of the sweep verbs over a persistent result store.
 //!
-//! The acceptance criteria this file pins:
+//! Sweep points are ordinary store records under per-point digests
+//! (`DefendConfig::point_key`, `CharacterizeConfig::point_key`). The
+//! acceptance criteria this file pins:
 //!
-//! * A `defend` sweep resumed from a partially persisted checkpoint
-//!   produces a report **equal to a fresh uninterrupted run** — the
+//! * A `defend` sweep resumed from a store that holds only some of its
+//!   points produces a report **equal to a fresh uninterrupted run** — the
 //!   per-point codec round-trips every `f64` bit-exactly, so the rendered
 //!   table is byte-identical too.
 //! * The same holds for a `characterize` sweep resumed mid-way.
-//! * A checkpoint record that decodes but carries the wrong schema is
+//! * A stored record that decodes but carries the wrong schema is
 //!   recomputed, never trusted — damage costs work, not correctness.
-//! * After a resumed run, the checkpoint holds every point, so a second
-//!   resume computes nothing.
+//! * After a resumed run, the store holds every point, so a second
+//!   resume inserts nothing.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use amperebleed::characterize::{self, CharacterizeConfig};
 use amperebleed::defend::{self, AttackKind, DefendConfig};
@@ -20,7 +22,7 @@ use amperebleed::Platform;
 use fpga_fabric::ring_oscillator::RoConfig;
 use fpga_fabric::virus::VirusConfig;
 use sim_rt::Pool;
-use sim_store::Checkpoint;
+use sim_store::{Store, StoreConfig};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("amperebleed-ckpt-{tag}-{}", std::process::id()));
@@ -28,23 +30,33 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+fn open_store(dir: &Path) -> Store {
+    Store::open(StoreConfig {
+        dir: Some(dir.to_path_buf()),
+        ..StoreConfig::default()
+    })
+    .unwrap()
+}
+
 #[test]
 fn defend_resume_equals_fresh_run() {
     let config = DefendConfig::quick(AttackKind::Covert);
     let fresh = defend::run_with(&config, &Pool::serial()).unwrap();
+    let n_points = 1 + config.strengths.len() as u64;
 
     let dir = tmpdir("defend");
-    let key = config.sweep_key();
     {
         // Simulate an interrupted sweep: only the baseline and the first
-        // strength point landed before the drain.
-        let partial = Checkpoint::open(&dir, "defend", &key).unwrap();
-        partial.put(0, &fresh.baseline.to_value().to_json());
-        partial.put(1, &fresh.points[0].to_value().to_json());
+        // strength point landed before the process died.
+        let partial = open_store(&dir);
+        for (index, point) in [(0, &fresh.baseline), (1, &fresh.points[0])] {
+            let json = point.to_value().to_json();
+            partial.insert(&config.point_key(index), "defend-sweep", config.seed, &json);
+        }
     }
-    let ckpt = Checkpoint::open(&dir, "defend", &key).unwrap();
-    assert_eq!(ckpt.len(), 2);
-    let resumed = defend::run_checkpointed(&config, &Pool::new(2), &ckpt).unwrap();
+    let store = open_store(&dir);
+    assert_eq!(store.stats().persist_entries, 2);
+    let resumed = defend::run_checkpointed(&config, &Pool::new(2), &store).unwrap();
 
     assert_eq!(resumed, fresh);
     assert_eq!(resumed.render(), fresh.render());
@@ -52,12 +64,19 @@ fn defend_resume_equals_fresh_run() {
         assert_eq!(a.success.to_bits(), b.success.to_bits());
         assert_eq!(a.strength.to_bits(), b.strength.to_bits());
     }
-    // The resumed run back-filled the missing points: a second resume
-    // decodes everything.
-    assert_eq!(ckpt.len(), 1 + config.strengths.len());
-    let ckpt = Checkpoint::open(&dir, "defend", &key).unwrap();
-    let replayed = defend::run_checkpointed(&config, &Pool::new(8), &ckpt).unwrap();
+    // The resumed run decoded the two stored points and back-filled the
+    // missing ones.
+    let stats = store.stats();
+    assert_eq!(stats.hits, 2);
+    assert_eq!(stats.inserts, n_points - 2);
+    assert_eq!(stats.persist_entries as u64, n_points);
+
+    // A second resume over the same directory decodes everything.
+    let store = open_store(&dir);
+    let replayed = defend::run_checkpointed(&config, &Pool::new(8), &store).unwrap();
     assert_eq!(replayed, fresh);
+    assert_eq!(store.stats().hits, n_points);
+    assert_eq!(store.stats().inserts, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -67,17 +86,29 @@ fn defend_recomputes_schema_damaged_records() {
     let fresh = defend::run_with(&config, &Pool::serial()).unwrap();
 
     // Valid JSON, wrong shape: must be recomputed, not trusted.
-    let ckpt = Checkpoint::in_memory();
-    ckpt.put(0, r#"{"not":"a point"}"#);
-    ckpt.put(2, "42");
-    let resumed = defend::run_checkpointed(&config, &Pool::serial(), &ckpt).unwrap();
+    let dir = tmpdir("damaged");
+    let store = open_store(&dir);
+    store.insert(
+        &config.point_key(0),
+        "defend-sweep",
+        config.seed,
+        r#"{"not":"a point"}"#,
+    );
+    store.insert(&config.point_key(2), "defend-sweep", config.seed, "42");
+    let resumed = defend::run_checkpointed(&config, &Pool::serial(), &store).unwrap();
     assert_eq!(resumed, fresh);
+    // Both damaged records were read, and every point was computed.
+    let stats = store.stats();
+    assert_eq!(stats.hits, 2);
+    assert_eq!(stats.inserts, 2 + 1 + config.strengths.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn characterize_resume_equals_fresh_run() {
+    const SEED: u64 = 1_000;
     let factory = |_level: u32| {
-        let mut p = Platform::zcu102(1_000);
+        let mut p = Platform::zcu102(SEED);
         p.deploy_virus(VirusConfig::default())?;
         p.deploy_ro_bank(RoConfig::default())?;
         Ok(p)
@@ -86,20 +117,34 @@ fn characterize_resume_equals_fresh_run() {
     cfg.levels = vec![0, 40, 80, 120, 160];
     cfg.samples_per_level = 120;
     let fresh = characterize::run_parallel(factory, &cfg, &Pool::serial()).unwrap();
+    let n_rows = cfg.levels.len() as u64;
 
     let dir = tmpdir("char");
-    let key = cfg.sweep_key(1_000);
     {
-        let partial = Checkpoint::open(&dir, "characterize", &key).unwrap();
         // Rows 0 and 3 landed; the rest are missing.
-        partial.put(0, &fresh.rows[0].to_value().to_json());
-        partial.put(3, &fresh.rows[3].to_value().to_json());
+        let partial = open_store(&dir);
+        for index in [0, 3] {
+            let json = fresh.rows[index].to_value().to_json();
+            let key = cfg.point_key(SEED, index as u64);
+            partial.insert(&key, "characterize-sweep", SEED, &json);
+        }
     }
-    let ckpt = Checkpoint::open(&dir, "characterize", &key).unwrap();
+    let store = open_store(&dir);
     let resumed =
-        characterize::run_parallel_checkpointed(factory, &cfg, &Pool::new(2), &ckpt).unwrap();
+        characterize::run_parallel_checkpointed(factory, &cfg, &Pool::new(2), &store, SEED)
+            .unwrap();
     assert_eq!(resumed, fresh);
-    assert_eq!(ckpt.len(), cfg.levels.len());
+    assert_eq!(store.stats().inserts, n_rows - 2);
+    assert_eq!(store.stats().persist_entries as u64, n_rows);
+
+    // A second resume over the same directory decodes everything.
+    let store = open_store(&dir);
+    let replayed =
+        characterize::run_parallel_checkpointed(factory, &cfg, &Pool::new(8), &store, SEED)
+            .unwrap();
+    assert_eq!(replayed, fresh);
+    assert_eq!(store.stats().hits, n_rows);
+    assert_eq!(store.stats().inserts, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -107,16 +152,22 @@ fn characterize_resume_equals_fresh_run() {
 fn sweep_keys_separate_distinct_sweeps() {
     let covert = DefendConfig::quick(AttackKind::Covert);
     let rsa = DefendConfig::quick(AttackKind::Rsa);
-    assert_ne!(covert.sweep_key(), rsa.sweep_key());
+    assert_ne!(covert.point_key(1), rsa.point_key(1));
     let mut reseeded = covert.clone();
     reseeded.seed += 1;
-    assert_ne!(covert.sweep_key(), reseeded.sweep_key());
+    assert_ne!(covert.point_key(1), reseeded.point_key(1));
     assert_eq!(
-        covert.sweep_key(),
-        DefendConfig::quick(AttackKind::Covert).sweep_key()
+        covert.point_key(1),
+        DefendConfig::quick(AttackKind::Covert).point_key(1)
     );
+    // Same sweep, different point.
+    assert_ne!(covert.point_key(0), covert.point_key(1));
 
     let quick = CharacterizeConfig::quick();
-    assert_ne!(quick.sweep_key(1), quick.sweep_key(2));
-    assert_eq!(quick.sweep_key(1), CharacterizeConfig::quick().sweep_key(1));
+    assert_ne!(quick.point_key(1, 0), quick.point_key(2, 0));
+    assert_ne!(quick.point_key(1, 0), quick.point_key(1, 1));
+    assert_eq!(
+        quick.point_key(1, 0),
+        CharacterizeConfig::quick().point_key(1, 0)
+    );
 }

@@ -2,12 +2,15 @@
 //! nodes are root-only, every attack in the suite fails for an
 //! unprivileged process, while privileged monitoring still works.
 
+use std::sync::Arc;
+
 use amperebleed::characterize::{self, CharacterizeConfig};
 use amperebleed::mitigation::{restrict_all_sensors, unrestrict_all_sensors};
 use amperebleed::{AttackError, Channel, CurrentSampler, Platform};
 use fpga_fabric::rsa::{RsaConfig, RsaKey};
 use fpga_fabric::virus::VirusConfig;
 use hwmon_sim::HwmonError;
+use obs::{Level, MemorySink, Sink};
 use zynq_soc::{PowerDomain, SimTime};
 
 #[test]
@@ -100,4 +103,34 @@ fn name_attribute_stays_world_readable() {
         )
         .unwrap();
     assert_eq!(name.trim(), "ina226_u79");
+}
+
+#[test]
+fn mitigation_check_counts_denials_without_warning() {
+    // A campaign's mitigation check expects its capture to be denied: each
+    // denial is counted and logged at `debug`, never at `warn` or above,
+    // so the default stderr filter stays quiet.
+    let mut p = Platform::zcu102(205);
+    p.deploy_virus(VirusConfig::default()).unwrap();
+    restrict_all_sensors(&mut p).unwrap();
+
+    obs::init();
+    obs::clear_sinks();
+    let sink = Arc::new(MemorySink::new());
+    obs::install_sink(Arc::clone(&sink) as Arc<dyn Sink>);
+    obs::set_level(Some(Level::Debug));
+    let denied_before = obs::counter!("hwmon.fs.reads_denied").get();
+    let blocked = characterize::run(&p, &CharacterizeConfig::quick()).is_err();
+    let denied = obs::counter!("hwmon.fs.reads_denied").get() - denied_before;
+    obs::set_level(Some(Level::Warn));
+    obs::clear_sinks();
+
+    assert!(blocked, "the mitigation must block the sweep");
+    assert!(denied >= 1, "every denial is counted");
+    let events = sink.events();
+    assert!(events
+        .iter()
+        .any(|e| e.target == "hwmon.fs" && e.level == Level::Debug));
+    let loud: Vec<_> = events.iter().filter(|e| e.level <= Level::Warn).collect();
+    assert!(loud.is_empty(), "events at warn or above: {loud:?}");
 }

@@ -1,9 +1,8 @@
 //! Correctness pins for the zero-allocation sampling fast path.
 //!
-//! The operating-point cache, the latched-conversion memoization, the
-//! typed hwmon read path and the batched three-channel capture are all
-//! pure performance work: none of them may move a single bit of any
-//! trace. These tests pin that contract three ways:
+//! The latched-conversion memoization, the typed hwmon read path and the
+//! batched three-channel capture are all pure performance work: none of
+//! them may move a single bit of any trace. These tests pin that contract three ways:
 //!
 //! * **Golden bits** — traces captured before the fast path existed,
 //!   hard-coded as raw `f64` bit patterns. The rewritten stack must
@@ -210,10 +209,10 @@ sim_rt::prop_check! {
         }
     }
 
-    /// The operating-point cache may never change the physics: ground
-    /// truth after a sequence of cached reads and control changes equals
-    /// ground truth computed fresh on an identically seeded platform.
-    fn op_cache_never_changes_ground_truth(
+    /// A control change shows in ground truth without any invalidation
+    /// call: after reads and a control change, ground truth equals that of
+    /// an identically seeded platform that only saw the final state.
+    fn control_change_shows_in_ground_truth_without_invalidation(
         ns in 1_000_000u64..1_000_000_000u64,
         g1 in 0u32..161,
         g2 in 0u32..161,
@@ -223,7 +222,7 @@ sim_rt::prop_check! {
         let domain = PowerDomain::ALL[domain_idx];
 
         let a = virus_platform(42, g1);
-        // Populate the cache at g1, then change control state.
+        // Read at g1, then change control state.
         let warm = a.ground_truth_volts(domain, t);
         assert_eq!(warm.to_bits(), a.ground_truth_volts(domain, t).to_bits());
         a.virus().unwrap().activate_groups(g2).unwrap();
