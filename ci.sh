@@ -354,4 +354,15 @@ echo "==> farm_e2e --quick (all four workloads checked against the serial refere
 # any offline campaign that loses a paper shape.
 cargo bench --offline -q --manifest-path farm_e2e/Cargo.toml --bench farm_e2e -- --quick
 
+echo "==> farm_e2e pinned seed-1 digests (offline, burst, warm)"
+# --quick skips the pinned-digest check, so three short seed-1 runs make
+# it here; each exits non-zero on a digest that differs from the pinned
+# one. Every run names its workload: a run of all four rewrites the
+# committed BENCH_farm_e2e.json. farm_cold_mix stays out because its
+# pinned set needs about 18 s of open loop.
+for workload in campaign_offline farm_burst_dedup farm_warm_replay; do
+    cargo bench --offline -q --manifest-path farm_e2e/Cargo.toml --bench farm_e2e -- \
+        --workload "$workload" --seed 1 --seconds 2
+done
+
 echo "==> ci.sh: all gates passed"

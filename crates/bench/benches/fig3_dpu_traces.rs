@@ -39,7 +39,7 @@ fn main() {
     let models = zoo();
 
     section("victim suite inventory (Section IV-B)");
-    for fs in dnn_models::stats::family_stats(&models) {
+    for fs in dnn_models::stats::family_stats(models) {
         println!(
             "{:<14} {:>2} models  {:>6.2}-{:<6.2} GMACs  mean {:>6.1} MB",
             fs.family.to_string(),
@@ -51,7 +51,7 @@ fn main() {
     }
     println!(
         "workload spread across the zoo: {:.0}x",
-        dnn_models::stats::workload_spread(&models).unwrap_or(f64::NAN)
+        dnn_models::stats::workload_spread(models).unwrap_or(f64::NAN)
     );
     let sensors = [
         PowerDomain::FullPowerCpu,

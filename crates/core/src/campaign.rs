@@ -272,8 +272,7 @@ pub fn run(config: &CampaignConfig) -> Result<CampaignReport> {
 
     // Stage 2: fingerprinting over the Figure 3 set.
     let phase = TimedPhase::enter("fingerprinting");
-    let models = dnn_models::zoo();
-    let victims = figure3_models(&models)?;
+    let victims = figure3_models(dnn_models::zoo())?;
     let corpus = collect_corpus(&victims, &config.fingerprint)?;
     let fingerprint_grid = evaluate_grid(
         &corpus,

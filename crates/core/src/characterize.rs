@@ -22,6 +22,11 @@ use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
 /// Verb of the store records that hold sweep rows.
 const SWEEP_VERB: &str = "characterize-sweep";
 
+/// Largest `samples_per_level` a sweep accepts: ten times the paper's
+/// 10 000. Every level reserves its capture buffers up front, so the bound
+/// also bounds what one request can ask the allocator for.
+pub const MAX_SAMPLES_PER_LEVEL: usize = 100_000;
+
 /// Parameters of the characterization sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizeConfig {
@@ -61,8 +66,9 @@ impl CharacterizeConfig {
     /// # Errors
     ///
     /// [`AttackError::InvalidParameter`] for fewer than two levels, a zero
-    /// sample count, a non-positive/non-finite sample rate, or a
-    /// zero-duration settle phase.
+    /// sample count or one above [`MAX_SAMPLES_PER_LEVEL`], a
+    /// non-positive/non-finite sample rate, or a zero-duration settle
+    /// phase.
     pub fn validate(&self) -> Result<()> {
         if self.levels.len() < 2 {
             return Err(AttackError::InvalidParameter(
@@ -73,6 +79,12 @@ impl CharacterizeConfig {
             return Err(AttackError::InvalidParameter(
                 "samples_per_level must be non-zero".into(),
             ));
+        }
+        if self.samples_per_level > MAX_SAMPLES_PER_LEVEL {
+            return Err(AttackError::InvalidParameter(format!(
+                "samples_per_level {} exceeds its bound of {MAX_SAMPLES_PER_LEVEL}",
+                self.samples_per_level
+            )));
         }
         if !self.sample_rate_hz.is_finite() || self.sample_rate_hz <= 0.0 {
             return Err(AttackError::InvalidParameter(format!(

@@ -80,13 +80,13 @@ impl RailProbe for DomainProbe {
 
     /// A conversion's averaging steps under one read-lock hold and one
     /// PDN lookup.
-    fn operating_points(&self, times: &[SimTime]) -> Vec<(f64, f64)> {
+    fn operating_points(&self, start: SimTime, step: SimTime, out: &mut [(f64, f64)]) {
         let pdn = self.soc.pdn(self.domain);
         let loads = self.soc.loads();
-        times
-            .iter()
-            .map(|&t| SocModel::operating_point(&loads, pdn, t, self.domain))
-            .collect()
+        for (k, point) in out.iter_mut().enumerate() {
+            let t = start + SimTime::from_nanos(k as u64 * step.as_nanos());
+            *point = SocModel::operating_point(&loads, pdn, t, self.domain);
+        }
     }
 }
 

@@ -20,6 +20,11 @@ use zynq_soc::{PowerDomain, SimTime};
 
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
 
+/// Largest `samples_per_key` the experiment accepts: ten times the
+/// paper's 100 000. Every key's capture reserves its buffer up front, so
+/// the bound also bounds what one request can ask the allocator for.
+pub const MAX_SAMPLES_PER_KEY: usize = 1_000_000;
+
 /// Parameters of the Hamming-weight experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RsaAttackConfig {
@@ -62,8 +67,8 @@ impl RsaAttackConfig {
     /// # Errors
     ///
     /// [`AttackError::InvalidParameter`] for an empty weight list, a zero
-    /// sample count, a non-positive/non-finite sample rate, or a
-    /// non-positive z-score.
+    /// sample count or one above [`MAX_SAMPLES_PER_KEY`], a
+    /// non-positive/non-finite sample rate, or a non-positive z-score.
     pub fn validate(&self) -> Result<()> {
         if self.hamming_weights.is_empty() {
             return Err(AttackError::InvalidParameter("no key weights".into()));
@@ -72,6 +77,12 @@ impl RsaAttackConfig {
             return Err(AttackError::InvalidParameter(
                 "samples_per_key must be non-zero".into(),
             ));
+        }
+        if self.samples_per_key > MAX_SAMPLES_PER_KEY {
+            return Err(AttackError::InvalidParameter(format!(
+                "samples_per_key {} exceeds its bound of {MAX_SAMPLES_PER_KEY}",
+                self.samples_per_key
+            )));
         }
         if !self.sample_rate_hz.is_finite() || self.sample_rate_hz <= 0.0 {
             return Err(AttackError::InvalidParameter(format!(

@@ -8,11 +8,12 @@
 //! task runs from nothing but hwmon current traces.
 
 use fpga_fabric::enclave::EnclaveTask;
-use rforest::{Dataset, ForestConfig, RandomForest};
+use rforest::{ForestConfig, RandomForest};
 use trace_stats::features::feature_vector;
 use zynq_soc::{PowerDomain, SimTime};
 
-use crate::{AttackError, Channel, CurrentSampler, Platform, Result, Trace};
+use crate::workload::fit_with_holdout;
+use crate::{Channel, CurrentSampler, Platform, Result, Trace};
 
 /// Parameters of the TEE workload-inference attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,46 +84,28 @@ fn capture_task_trace(
 ///
 /// Propagates deployment, capture, feature and dataset errors.
 pub fn run(config: &TeeAttackConfig) -> Result<TeeAttackReport> {
-    let mut features = Vec::new();
-    let mut labels = Vec::new();
-    let mut holdout: Vec<(Vec<f64>, usize)> = Vec::new();
-
-    for (label, &task) in EnclaveTask::ALL.iter().enumerate() {
-        // One extra capture per task is held out for evaluation.
-        for rep in 0..config.traces_per_task + 1 {
+    let (forest, holdout_accuracy) = fit_with_holdout(
+        EnclaveTask::ALL.len(),
+        config.traces_per_task,
+        &config.forest,
+        |label, rep| {
             let seed = config
                 .seed
                 .wrapping_mul(31)
                 .wrapping_add((label * 100 + rep) as u64);
             let mut platform = Platform::zcu102(seed);
             let enclave = platform.deploy_enclave()?;
-            enclave.run(task);
+            enclave.run(EnclaveTask::ALL[label]);
             let start = SimTime::from_ms(40 + (zynq_soc::hash01(seed, 8, 0) * 300.0) as u64);
             let trace = capture_task_trace(&platform, config, start)?;
-            let f = feature_vector(&trace.samples, config.resample_len)?;
-            if rep == config.traces_per_task {
-                holdout.push((f, label));
-            } else {
-                features.push(f);
-                labels.push(label);
-            }
-        }
-    }
-
-    let dataset =
-        Dataset::new(features, labels).map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
-    let forest = RandomForest::fit(&dataset, &config.forest);
-    let classifier = TeeClassifier {
-        forest,
-        resample_len: config.resample_len,
-    };
-    let correct = holdout
-        .iter()
-        .filter(|(f, label)| classifier.forest.predict(f) == *label)
-        .count();
-    let holdout_accuracy = correct as f64 / holdout.len() as f64;
+            Ok(feature_vector(&trace.samples, config.resample_len)?)
+        },
+    )?;
     Ok(TeeAttackReport {
-        classifier,
+        classifier: TeeClassifier {
+            forest,
+            resample_len: config.resample_len,
+        },
         holdout_accuracy,
     })
 }

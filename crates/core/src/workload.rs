@@ -12,6 +12,7 @@ use fpga_fabric::covert::CovertConfig;
 use fpga_fabric::rsa::{RsaConfig, RsaKey};
 use fpga_fabric::virus::VirusConfig;
 use rforest::{Dataset, ForestConfig, RandomForest};
+use sim_rt::Pool;
 use trace_stats::features::feature_vector;
 use zynq_soc::{PowerDomain, SimTime};
 
@@ -156,42 +157,67 @@ fn capture(platform: &Platform, config: &WorkloadConfig, start: SimTime) -> Resu
 ///
 /// Propagates deployment, capture, feature and dataset errors.
 pub fn run(config: &WorkloadConfig) -> Result<WorkloadReport> {
-    let mut features = Vec::new();
-    let mut labels = Vec::new();
-    let mut holdout: Vec<(Vec<f64>, usize)> = Vec::new();
-    for (label, &class) in WorkloadClass::ALL.iter().enumerate() {
-        for rep in 0..config.traces_per_class + 1 {
+    let (forest, holdout_accuracy) = fit_with_holdout(
+        WorkloadClass::ALL.len(),
+        config.traces_per_class,
+        &config.forest,
+        |label, rep| {
             let seed = config
                 .seed
                 .wrapping_mul(97)
                 .wrapping_add((label * 1_000 + rep) as u64);
-            let platform = platform_running(class, seed)?;
+            let platform = platform_running(WorkloadClass::ALL[label], seed)?;
             let start = SimTime::from_ms(40 + (zynq_soc::hash01(seed, 15, 0) * 500.0) as u64);
             let trace = capture(&platform, config, start)?;
-            let f = feature_vector(&trace.samples, config.resample_len)?;
-            if rep == config.traces_per_class {
-                holdout.push((f, label));
-            } else {
-                features.push(f);
-                labels.push(label);
-            }
+            Ok(feature_vector(&trace.samples, config.resample_len)?)
+        },
+    )?;
+    Ok(WorkloadReport {
+        holdout_accuracy,
+        classifier: WorkloadClassifier {
+            forest,
+            resample_len: config.resample_len,
+        },
+    })
+}
+
+/// Captures `reps + 1` feature vectors for each of `classes` labels on
+/// the global pool, fits a forest on the first `reps` of every label and
+/// scores it on the last one. `capture(label, rep)` must be a pure
+/// function of its indices: the vectors fold back in job order, so the
+/// forest and its accuracy are identical at any pool width.
+pub(crate) fn fit_with_holdout<F>(
+    classes: usize,
+    reps: usize,
+    forest: &ForestConfig,
+    capture: F,
+) -> Result<(RandomForest, f64)>
+where
+    F: Fn(usize, usize) -> Result<Vec<f64>> + Sync,
+{
+    let jobs: Vec<(usize, usize)> = (0..classes)
+        .flat_map(|label| (0..=reps).map(move |rep| (label, rep)))
+        .collect();
+    let captured = Pool::global().par_map(&jobs, |_, &(label, rep)| capture(label, rep));
+    let mut features = Vec::with_capacity(classes * reps);
+    let mut labels = Vec::with_capacity(classes * reps);
+    let mut holdout = Vec::with_capacity(classes);
+    for (&(label, rep), f) in jobs.iter().zip(captured) {
+        if rep == reps {
+            holdout.push((f?, label));
+        } else {
+            features.push(f?);
+            labels.push(label);
         }
     }
     let dataset =
         Dataset::new(features, labels).map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
-    let forest = RandomForest::fit(&dataset, &config.forest);
-    let classifier = WorkloadClassifier {
-        forest,
-        resample_len: config.resample_len,
-    };
+    let forest = RandomForest::fit(&dataset, forest);
     let correct = holdout
         .iter()
-        .filter(|(f, label)| classifier.forest.predict(f) == *label)
+        .filter(|(f, label)| forest.predict(f) == *label)
         .count();
-    Ok(WorkloadReport {
-        holdout_accuracy: correct as f64 / holdout.len() as f64,
-        classifier,
-    })
+    Ok((forest, correct as f64 / holdout.len() as f64))
 }
 
 impl WorkloadClassifier {

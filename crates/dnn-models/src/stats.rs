@@ -32,7 +32,7 @@ pub struct FamilyStats {
 /// ```
 /// use dnn_models::{stats::family_stats, zoo};
 ///
-/// let stats = family_stats(&zoo());
+/// let stats = family_stats(zoo());
 /// assert_eq!(stats.len(), 7);
 /// let vgg = stats.iter().find(|s| s.family == dnn_models::Family::Vgg).unwrap();
 /// assert_eq!(vgg.models, 4);
@@ -69,7 +69,7 @@ pub fn family_stats(models: &[ModelArch]) -> Vec<FamilyStats> {
 /// ```
 /// use dnn_models::{stats::zoo_markdown, zoo};
 ///
-/// let table = zoo_markdown(&zoo());
+/// let table = zoo_markdown(zoo());
 /// assert!(table.starts_with("| model |"));
 /// assert_eq!(table.lines().count(), 2 + 39);
 /// ```
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn family_counts_match_zoo() {
-        let stats = family_stats(&zoo());
+        let stats = family_stats(zoo());
         let total: usize = stats.iter().map(|s| s.models).sum();
         assert_eq!(total, 39);
         for s in &stats {
@@ -120,14 +120,14 @@ mod tests {
 
     #[test]
     fn markdown_table_rows() {
-        let table = zoo_markdown(&zoo());
+        let table = zoo_markdown(zoo());
         assert!(table.contains("| resnet-50 | ResNet | 224 |"));
         assert!(table.contains("| vgg-19 |"));
     }
 
     #[test]
     fn workload_spread_is_wide() {
-        let spread = workload_spread(&zoo()).unwrap();
+        let spread = workload_spread(zoo()).unwrap();
         // MobileNet-0.25 to VGG-19 span >100x of compute.
         assert!(spread > 50.0, "spread {spread}");
         assert_eq!(workload_spread(&[]), None);

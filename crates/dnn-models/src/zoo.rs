@@ -1,3 +1,5 @@
+use std::sync::OnceLock;
+
 use crate::{Layer, NetBuilder};
 
 /// Architecture family of a model (7 families, per Section IV-B).
@@ -379,56 +381,61 @@ fn densenet(name: &str, blocks: [u64; 4], growth: u64) -> ModelArch {
 }
 
 /// The complete 39-model zoo (7 families), mirroring the Vitis AI image
-/// recognition suite used as victim accelerators in Section IV-B.
-pub fn zoo() -> Vec<ModelArch> {
-    vec![
-        // ResNet family (6)
-        resnet("resnet-18", [2, 2, 2, 2], false),
-        resnet("resnet-34", [3, 4, 6, 3], false),
-        resnet("resnet-50", [3, 4, 6, 3], true),
-        resnet("resnet-101", [3, 4, 23, 3], true),
-        resnet("resnet-152", [3, 8, 36, 3], true),
-        resnet("resnet-26", [2, 2, 2, 2], true),
-        // VGG family (4)
-        vgg("vgg-11", [1, 1, 2, 2, 2]),
-        vgg("vgg-13", [2, 2, 2, 2, 2]),
-        vgg("vgg-16", [2, 2, 3, 3, 3]),
-        vgg("vgg-19", [2, 2, 4, 4, 4]),
-        // Inception family (5)
-        inception("googlenet", 224, &[(2, 128), (5, 192), (2, 256)]),
-        inception("inception-v2", 224, &[(3, 160), (5, 224), (2, 320)]),
-        inception("inception-v3", 299, &[(3, 192), (5, 288), (3, 448)]),
-        inception("inception-v4", 299, &[(4, 224), (7, 320), (3, 512)]),
-        inception_resnet("inception-resnet-v2", 299, &[(5, 192), (10, 256), (5, 384)]),
-        // MobileNet family (8)
-        mobilenet_v1("mobilenet-v1-0.25", 0.25),
-        mobilenet_v1("mobilenet-v1-0.5", 0.5),
-        mobilenet_v1("mobilenet-v1", 1.0),
-        mobilenet_v2("mobilenet-v2-0.5", 0.5),
-        mobilenet_v2("mobilenet-v2", 1.0),
-        mobilenet_v2("mobilenet-v2-1.4", 1.4),
-        mobilenet_v3("mobilenet-v3-small", false),
-        mobilenet_v3("mobilenet-v3-large", true),
-        // SqueezeNet family (3)
-        squeezenet("squeezenet", false, false),
-        squeezenet("squeezenet-1.1", true, false),
-        squeezenet("squeezenet-res", true, true),
-        // EfficientNet family (8)
-        efficientnet("efficientnet-lite0", 224, 1.0, 1.0, false),
-        efficientnet("efficientnet-lite1", 240, 1.0, 1.1, false),
-        efficientnet("efficientnet-lite2", 260, 1.1, 1.2, false),
-        efficientnet("efficientnet-lite3", 280, 1.2, 1.4, false),
-        efficientnet("efficientnet-lite4", 300, 1.4, 1.8, false),
-        efficientnet("efficientnet-b0", 224, 1.0, 1.0, true),
-        efficientnet("efficientnet-b1", 240, 1.0, 1.1, true),
-        efficientnet("efficientnet-b2", 260, 1.1, 1.2, true),
-        // DenseNet family (5)
-        densenet("densenet-121", [6, 12, 24, 16], 32),
-        densenet("densenet-161", [6, 12, 36, 24], 48),
-        densenet("densenet-169", [6, 12, 32, 32], 32),
-        densenet("densenet-201", [6, 12, 48, 32], 32),
-        densenet("densenet-264", [6, 12, 64, 48], 32),
-    ]
+/// recognition suite used as victim accelerators in Section IV-B. The
+/// models are built on the first call and shared for the rest of the
+/// process.
+pub fn zoo() -> &'static [ModelArch] {
+    static ZOO: OnceLock<Vec<ModelArch>> = OnceLock::new();
+    ZOO.get_or_init(|| {
+        vec![
+            // ResNet family (6)
+            resnet("resnet-18", [2, 2, 2, 2], false),
+            resnet("resnet-34", [3, 4, 6, 3], false),
+            resnet("resnet-50", [3, 4, 6, 3], true),
+            resnet("resnet-101", [3, 4, 23, 3], true),
+            resnet("resnet-152", [3, 8, 36, 3], true),
+            resnet("resnet-26", [2, 2, 2, 2], true),
+            // VGG family (4)
+            vgg("vgg-11", [1, 1, 2, 2, 2]),
+            vgg("vgg-13", [2, 2, 2, 2, 2]),
+            vgg("vgg-16", [2, 2, 3, 3, 3]),
+            vgg("vgg-19", [2, 2, 4, 4, 4]),
+            // Inception family (5)
+            inception("googlenet", 224, &[(2, 128), (5, 192), (2, 256)]),
+            inception("inception-v2", 224, &[(3, 160), (5, 224), (2, 320)]),
+            inception("inception-v3", 299, &[(3, 192), (5, 288), (3, 448)]),
+            inception("inception-v4", 299, &[(4, 224), (7, 320), (3, 512)]),
+            inception_resnet("inception-resnet-v2", 299, &[(5, 192), (10, 256), (5, 384)]),
+            // MobileNet family (8)
+            mobilenet_v1("mobilenet-v1-0.25", 0.25),
+            mobilenet_v1("mobilenet-v1-0.5", 0.5),
+            mobilenet_v1("mobilenet-v1", 1.0),
+            mobilenet_v2("mobilenet-v2-0.5", 0.5),
+            mobilenet_v2("mobilenet-v2", 1.0),
+            mobilenet_v2("mobilenet-v2-1.4", 1.4),
+            mobilenet_v3("mobilenet-v3-small", false),
+            mobilenet_v3("mobilenet-v3-large", true),
+            // SqueezeNet family (3)
+            squeezenet("squeezenet", false, false),
+            squeezenet("squeezenet-1.1", true, false),
+            squeezenet("squeezenet-res", true, true),
+            // EfficientNet family (8)
+            efficientnet("efficientnet-lite0", 224, 1.0, 1.0, false),
+            efficientnet("efficientnet-lite1", 240, 1.0, 1.1, false),
+            efficientnet("efficientnet-lite2", 260, 1.1, 1.2, false),
+            efficientnet("efficientnet-lite3", 280, 1.2, 1.4, false),
+            efficientnet("efficientnet-lite4", 300, 1.4, 1.8, false),
+            efficientnet("efficientnet-b0", 224, 1.0, 1.0, true),
+            efficientnet("efficientnet-b1", 240, 1.0, 1.1, true),
+            efficientnet("efficientnet-b2", 260, 1.1, 1.2, true),
+            // DenseNet family (5)
+            densenet("densenet-121", [6, 12, 24, 16], 32),
+            densenet("densenet-161", [6, 12, 36, 24], 48),
+            densenet("densenet-169", [6, 12, 32, 32], 32),
+            densenet("densenet-201", [6, 12, 48, 32], 32),
+            densenet("densenet-264", [6, 12, 64, 48], 32),
+        ]
+    })
 }
 
 #[cfg(test)]

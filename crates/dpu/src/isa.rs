@@ -329,14 +329,14 @@ mod tests {
     use crate::DpuSchedule;
     use dnn_models::zoo;
 
-    fn resnet() -> dnn_models::ModelArch {
-        zoo().into_iter().find(|m| m.name == "resnet-50").unwrap()
+    fn resnet() -> &'static dnn_models::ModelArch {
+        zoo().iter().find(|m| m.name == "resnet-50").unwrap()
     }
 
     #[test]
     fn compile_produces_valid_programs_for_whole_zoo() {
         for model in zoo() {
-            let program = Program::compile(&model);
+            let program = Program::compile(model);
             program
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", model.name));
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn program_structure_per_layer() {
         let model = resnet();
-        let program = Program::compile(&model);
+        let program = Program::compile(model);
         // Every layer contributes an engine op; most also load and save.
         let compute_ops = program
             .instructions()
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn validate_catches_malformed_programs() {
         let model = resnet();
-        let good = Program::compile(&model);
+        let good = Program::compile(model);
 
         let mut empty = good.clone();
         empty.instructions.clear();
@@ -402,10 +402,10 @@ mod tests {
         let config = DpuConfig::default();
         let executor = Executor::new(config);
         for name in ["resnet-50", "mobilenet-v1", "vgg-19"] {
-            let model = zoo().into_iter().find(|m| m.name == name).unwrap();
-            let program = Program::compile(&model);
+            let model = zoo().iter().find(|m| m.name == name).unwrap();
+            let program = Program::compile(model);
             let isa_latency = executor.latency(&program).unwrap().as_secs_f64();
-            let roofline = DpuSchedule::lower(&model, &config)
+            let roofline = DpuSchedule::lower(model, &config)
                 .inference_time()
                 .as_secs_f64();
             let ratio = isa_latency / roofline;
@@ -422,7 +422,7 @@ mod tests {
     #[test]
     fn double_buffering_beats_serial_execution() {
         let model = resnet();
-        let program = Program::compile(&model);
+        let program = Program::compile(model);
         let config = DpuConfig::default();
         let executor = Executor::new(config);
         let (_, overlapped) = executor.run(&program).unwrap();
@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn timeline_is_causally_ordered_per_engine() {
-        let program = Program::compile(&resnet());
+        let program = Program::compile(resnet());
         let executor = Executor::new(DpuConfig::default());
         let (timeline, latency) = executor.run(&program).unwrap();
         let mut mem_end = SimTime::ZERO;

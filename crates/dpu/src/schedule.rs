@@ -215,7 +215,7 @@ mod tests {
     fn all_zoo_models_lower_cleanly() {
         let cfg = DpuConfig::default();
         for m in zoo() {
-            let s = DpuSchedule::lower(&m, &cfg);
+            let s = DpuSchedule::lower(m, &cfg);
             assert_eq!(s.layers.len(), m.layers.len());
             assert!(s.inference_time() > SimTime::ZERO, "{}", m.name);
         }

@@ -14,16 +14,20 @@ pub trait RailProbe: Send + Sync {
     /// True rail current (A) and bus voltage (V) at time `t`.
     fn operating_point(&self, t: SimTime) -> (f64, f64);
 
-    /// The operating points of every instant in `times` — the batched
-    /// form a conversion uses to evaluate all of its averaging steps in
-    /// one call, letting implementations hoist per-call work (locks,
-    /// table lookups) out of the step loop.
+    /// Writes into `out[k]` the operating point of averaging step `k`,
+    /// the instant `start + k * step` — the batched form a conversion
+    /// uses to evaluate all of its steps in one call, letting
+    /// implementations hoist per-call work (locks, table lookups) out of
+    /// the step loop. `out` is a buffer the device reuses, so a
+    /// conversion allocates nothing.
     ///
-    /// Implementations must return exactly what mapping
-    /// [`operating_point`](Self::operating_point) over `times` would —
-    /// bit-for-bit, element for element.
-    fn operating_points(&self, times: &[SimTime]) -> Vec<(f64, f64)> {
-        times.iter().map(|&t| self.operating_point(t)).collect()
+    /// Implementations must write exactly what
+    /// [`operating_point`](Self::operating_point) returns at each of
+    /// those instants — bit-for-bit, element for element.
+    fn operating_points(&self, start: SimTime, step: SimTime, out: &mut [(f64, f64)]) {
+        for (k, point) in out.iter_mut().enumerate() {
+            *point = self.operating_point(start + SimTime::from_nanos(k as u64 * step.as_nanos()));
+        }
     }
 }
 
@@ -76,7 +80,7 @@ pub trait SensorDefense: Send + Sync {
 /// real driver's cached register reads.
 pub struct HwmonDevice {
     name: String,
-    sensor: TrackedMutex<Ina226>,
+    sensor: TrackedMutex<Sensor>,
     rail: Arc<dyn RailProbe>,
     state: TrackedMutex<ClockState>,
     /// Installed countermeasure, if any. Plain data set through `&mut`
@@ -92,6 +96,14 @@ impl std::fmt::Debug for HwmonDevice {
             .field("state", &*self.state.lock())
             .finish_non_exhaustive()
     }
+}
+
+/// The INA226 model plus the averaging-step buffer its conversions
+/// fill, kept together under the sensor lock and reused across
+/// conversions.
+struct Sensor {
+    ina: Ina226,
+    steps: Vec<(f64, f64)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -135,7 +147,13 @@ impl HwmonDevice {
         sensor.set_config(Config::for_update_interval_ms(DEFAULT_UPDATE_INTERVAL_MS));
         HwmonDevice {
             name: name.into(),
-            sensor: TrackedMutex::new("hwmon.sensor", sensor),
+            sensor: TrackedMutex::new(
+                "hwmon.sensor",
+                Sensor {
+                    ina: sensor,
+                    steps: Vec::new(),
+                },
+            ),
             rail,
             state: TrackedMutex::new(
                 "hwmon.clock",
@@ -179,6 +197,7 @@ impl HwmonDevice {
         state.last_boundary = None;
         self.sensor
             .lock()
+            .ina
             .set_config(Config::for_update_interval_ms(ms));
     }
 
@@ -225,23 +244,22 @@ impl HwmonDevice {
             return state.latched;
         }
         obs::counter!("hwmon.reads.fresh").inc();
-        let mut sensor = self.sensor.lock();
-        let n = sensor.config().avg.samples() as u64;
-        let cycle = SimTime::from_us(sensor.config().cycle_micros());
+        let mut guard = self.sensor.lock();
+        let Sensor { ina, steps } = &mut *guard;
+        let n = ina.config().avg.samples() as u64;
+        let cycle = SimTime::from_us(ina.config().cycle_micros());
         let start = boundary.saturating_sub(cycle);
-        let step_ns = cycle.as_nanos().max(1) / n.max(1);
-        let times: Vec<SimTime> = (0..n)
-            .map(|k| start + SimTime::from_nanos(k * step_ns))
-            .collect();
-        let mut points = self.rail.operating_points(&times);
+        let step = SimTime::from_nanos(cycle.as_nanos().max(1) / n.max(1));
+        steps.resize(n as usize, (0.0, 0.0));
+        self.rail.operating_points(start, step, steps);
         if let Some(d) = &self.defense {
             let window = boundary.as_nanos() / interval;
-            d.perturb_steps(&self.name, window, &mut points);
-            sensor.convert(points);
-            state.latched = d.transform(&self.name, window, sensor.readouts());
+            d.perturb_steps(&self.name, window, steps);
+            ina.convert(steps.iter().copied());
+            state.latched = d.transform(&self.name, window, ina.readouts());
         } else {
-            sensor.convert(points);
-            state.latched = sensor.readouts();
+            ina.convert(steps.iter().copied());
+            state.latched = ina.readouts();
         }
         state.last_boundary = Some(boundary);
         state.latched
@@ -281,7 +299,7 @@ impl HwmonDevice {
 
     /// Direct access to the sensor model (tests and calibration).
     pub fn with_sensor<R>(&self, f: impl FnOnce(&mut Ina226) -> R) -> R {
-        f(&mut self.sensor.lock())
+        f(&mut self.sensor.lock().ina)
     }
 }
 

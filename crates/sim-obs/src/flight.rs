@@ -121,11 +121,11 @@ pub fn record(kind: &'static str, trace_id: u64, span_id: u64, a: i64, b: i64, t
     if !enabled() {
         return;
     }
-    crate::metrics::counter("flight.events").inc();
+    crate::counter!("flight.events").inc();
     // Register eagerly so the overflow and dump counters always export,
     // even before the first overwrite or dump.
-    let dropped = crate::metrics::counter("flight.dropped");
-    let _ = crate::metrics::counter("flight.dumps");
+    let dropped = crate::counter!("flight.dropped");
+    let _ = crate::counter!("flight.dumps");
     let ev = FlightEvent {
         wall_ns: crate::clock::monotonic_ns(),
         kind,

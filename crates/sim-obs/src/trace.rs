@@ -313,13 +313,13 @@ pub fn record(rec: SpanRecord) {
     if crate::COMPILED_OUT {
         return;
     }
-    crate::metrics::counter("trace.spans").inc();
-    let roots = crate::metrics::counter("trace.roots");
+    crate::counter!("trace.spans").inc();
+    let roots = crate::counter!("trace.roots");
     if rec.parent.is_none() {
         roots.inc();
     }
     // Register the overflow counter eagerly so it always exports.
-    let dropped = crate::metrics::counter("trace.log.dropped");
+    let dropped = crate::counter!("trace.log.dropped");
     flight::record(
         "span",
         rec.trace_id,

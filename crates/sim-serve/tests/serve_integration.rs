@@ -251,6 +251,33 @@ fn expired_deadline_times_out_and_board_keeps_serving() {
     });
 }
 
+/// A sample count far past its bound is refused with a typed error
+/// before any capture buffer is reserved, and the connection keeps
+/// serving. The 2^40 samples asked for here once aborted the whole
+/// server inside the allocator.
+#[test]
+fn oversized_sample_count_is_refused_and_connection_keeps_serving() {
+    let cfg = ServerConfig {
+        boards: 1,
+        ..ServerConfig::default()
+    };
+    with_server(cfg, |addr, _| {
+        let mut conn = Client::connect(addr).unwrap();
+        let config = obj(&[("samples_per_level", Value::Int(1 << 40))]);
+        let resp = conn.request("quickstart", Some(9), config).unwrap();
+        assert_eq!(resp.status, "error");
+        assert_eq!(resp.error_kind.as_deref(), Some("invalid_parameter"));
+        let message = resp.error.unwrap_or_default();
+        let bound = amperebleed::characterize::MAX_SAMPLES_PER_LEVEL.to_string();
+        assert!(
+            message.contains("samples_per_level") && message.contains(&bound),
+            "{message}"
+        );
+        let resp = conn.request("ping", None, Value::Null).unwrap();
+        assert!(resp.is_ok());
+    });
+}
+
 /// Malformed lines get a typed `bad_request` answer instead of killing
 /// the connection.
 #[test]

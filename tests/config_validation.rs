@@ -36,6 +36,40 @@ fn characterize_rejects_zero_sample_count() {
     assert_invalid(characterize::run(&p, &cfg), "zero samples_per_level");
 }
 
+/// Asserts an `InvalidParameter` whose message names `field` and its
+/// upper `bound`.
+fn assert_over_bound<T: std::fmt::Debug>(
+    result: amperebleed::Result<T>,
+    field: &str,
+    bound: usize,
+) {
+    match result {
+        Err(AttackError::InvalidParameter(message)) => assert!(
+            message.contains(field) && message.contains(&bound.to_string()),
+            "{field}: {message}"
+        ),
+        other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+    }
+}
+
+#[test]
+fn characterize_bounds_samples_per_level() {
+    let p = ready_platform(404);
+    // `quicklook` is the serve path's `quickstart`: 2^40 samples once
+    // aborted the server in the capture buffer's allocation.
+    assert_over_bound(
+        characterize::quicklook(&p, 1 << 40),
+        "samples_per_level",
+        characterize::MAX_SAMPLES_PER_LEVEL,
+    );
+    let at_bound = CharacterizeConfig {
+        samples_per_level: characterize::MAX_SAMPLES_PER_LEVEL,
+        ..CharacterizeConfig::quick()
+    };
+    at_bound.validate().unwrap();
+    CharacterizeConfig::default().validate().unwrap();
+}
+
 #[test]
 fn characterize_rejects_zero_duration_settle_phase() {
     let p = ready_platform(401);
@@ -117,6 +151,26 @@ fn fingerprint_rejects_degenerate_configs() {
         fingerprint::run_with(&FingerprintConfig::quick(), 10_000, &Pool::serial()),
         "more models than the zoo holds",
     );
+}
+
+#[test]
+fn rsa_bounds_samples_per_key() {
+    let over = RsaAttackConfig {
+        samples_per_key: rsa_attack::MAX_SAMPLES_PER_KEY + 1,
+        ..RsaAttackConfig::quick()
+    };
+    // `run` validates inside `run_hardened`, the `defend` sweep's RSA entry too.
+    assert_over_bound(
+        rsa_attack::run(&over),
+        "samples_per_key",
+        rsa_attack::MAX_SAMPLES_PER_KEY,
+    );
+    let at_bound = RsaAttackConfig {
+        samples_per_key: rsa_attack::MAX_SAMPLES_PER_KEY,
+        ..RsaAttackConfig::quick()
+    };
+    at_bound.validate().unwrap();
+    RsaAttackConfig::default().validate().unwrap();
 }
 
 #[test]

@@ -120,11 +120,11 @@ fn jsonl_sink_writes_one_valid_object_per_event() {
     }
 }
 
-fn victims() -> Vec<ModelArch> {
+fn victims() -> Vec<&'static ModelArch> {
     let models = dnn_models::zoo();
     ["mobilenet-v1", "resnet-50"]
         .iter()
-        .map(|n| models.iter().find(|m| &m.name == n).unwrap().clone())
+        .map(|n| models.iter().find(|m| &m.name == n).unwrap())
         .collect()
 }
 
@@ -139,8 +139,7 @@ fn corpus_bits(corpus: &[ModelCapture]) -> Vec<u64> {
 #[test]
 fn trace_level_instrumentation_does_not_perturb_determinism() {
     let _guard = guard();
-    let models = victims();
-    let refs: Vec<&ModelArch> = models.iter().collect();
+    let refs = victims();
     let config = FingerprintConfig::quick();
 
     // Quietest possible run as the reference.

@@ -1,11 +1,12 @@
-//! Cross-thread-count determinism of the full fingerprinting campaign.
+//! Cross-thread-count determinism of the campaign's parallel stages.
 //!
 //! The runtime's contract: every parallel stage derives per-job seeds
 //! purely from the campaign seed and the job's index, so the corpus, the
-//! feature datasets, and the Table III accuracy grid are *byte-identical*
-//! whether the work runs on one worker or many. These tests pin that
-//! contract end to end — floating-point results are compared through
-//! their bit patterns, not with a tolerance.
+//! feature datasets, the Table III accuracy grid and the TEE and
+//! workload-reconnaissance classifiers are *byte-identical* whether the
+//! work runs on one worker or many. These tests pin that contract end to
+//! end — floating-point results are compared through their bit patterns,
+//! not with a tolerance.
 
 use amperebleed::fingerprint::{
     build_dataset, collect_corpus_with, evaluate_grid_with, FingerprintConfig, ModelCapture,
@@ -14,17 +15,16 @@ use amperebleed::fingerprint::{
 use dnn_models::ModelArch;
 use sim_rt::Pool;
 
-fn victims() -> Vec<ModelArch> {
+fn victims() -> Vec<&'static ModelArch> {
     let models = dnn_models::zoo();
     ["mobilenet-v1", "resnet-50", "vgg-19", "squeezenet"]
         .iter()
-        .map(|n| models.iter().find(|m| &m.name == n).unwrap().clone())
+        .map(|n| models.iter().find(|m| &m.name == n).unwrap())
         .collect()
 }
 
 fn collect(pool: &Pool) -> (Vec<ModelCapture>, FingerprintConfig) {
-    let models = victims();
-    let refs: Vec<&ModelArch> = models.iter().collect();
+    let refs = victims();
     let config = FingerprintConfig::quick();
     let corpus = collect_corpus_with(&refs, &config, pool).unwrap();
     (corpus, config)
@@ -87,4 +87,32 @@ fn accuracy_grid_is_identical_at_1_2_and_8_threads() {
             assert_eq!(a.top5.to_bits(), b.top5.to_bits());
         }
     }
+}
+
+/// FNV-1a-64 over a report's full `Debug` rendering: the fitted forest
+/// and the hold-out accuracy, folded into one number.
+fn debug_digest(report: &impl std::fmt::Debug) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// The TEE stage's captures run on the global pool (sized by
+/// `SIM_RT_THREADS`); its training set, holdout and forest must not
+/// depend on the pool's width. The pinned value was recorded from a
+/// serial loop over the same captures.
+#[test]
+fn tee_report_matches_its_pinned_digest() {
+    let report = amperebleed::tee::run(&amperebleed::tee::TeeAttackConfig::default()).unwrap();
+    assert_eq!(debug_digest(&report), 0xa885_29d8_412e_f67b);
+}
+
+/// As above, for workload reconnaissance.
+#[test]
+fn workload_report_matches_its_pinned_digest() {
+    let report =
+        amperebleed::workload::run(&amperebleed::workload::WorkloadConfig::default()).unwrap();
+    assert_eq!(debug_digest(&report), 0x6677_5a1c_dc46_c96e);
 }
