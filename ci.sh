@@ -360,9 +360,32 @@ echo "==> farm_e2e pinned seed-1 digests (offline, burst, warm)"
 # one. Every run names its workload: a run of all four rewrites the
 # committed BENCH_farm_e2e.json. farm_cold_mix stays out because its
 # pinned set needs about 18 s of open loop.
+e2e_logs="$(mktemp -d)"
+cleanup_files+=("$e2e_logs")
 for workload in campaign_offline farm_burst_dedup farm_warm_replay; do
     cargo bench --offline -q --manifest-path farm_e2e/Cargo.toml --bench farm_e2e -- \
-        --workload "$workload" --seed 1 --seconds 2
+        --workload "$workload" --seed 1 --seconds 2 | tee "$e2e_logs/$workload-2s.log"
 done
+
+echo "==> served memory stays flat as run length grows (burst, 2 s vs 8 s)"
+# A server whose memory grows with uptime reads 1.6-1.7x here; one that
+# frees each exited thread's flight ring reads about 1.0x.
+cargo bench --offline -q --manifest-path farm_e2e/Cargo.toml --bench farm_e2e -- \
+    --workload farm_burst_dedup --seed 1 --seconds 8 | tee "$e2e_logs/farm_burst_dedup-8s.log"
+peak_rss_mb() {
+    # The last JSON line of a run holds its end-to-end metrics.
+    grep '^{' "$1" | tail -n 1 | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p'
+}
+rss_short="$(peak_rss_mb "$e2e_logs/farm_burst_dedup-2s.log")"
+rss_long="$(peak_rss_mb "$e2e_logs/farm_burst_dedup-8s.log")"
+if [ -z "$rss_short" ] || [ -z "$rss_long" ]; then
+    echo "ci.sh: a burst run printed no peak_rss_mb" >&2
+    exit 1
+fi
+echo "    peak_rss_mb ${rss_short} MiB at 2 s, ${rss_long} MiB at 8 s"
+awk -v short="$rss_short" -v long="$rss_long" 'BEGIN { exit !(long <= 1.25 * short) }' || {
+    echo "ci.sh: served peak_rss_mb grew from ${rss_short} to ${rss_long} MiB (gate: at most 1.25x)" >&2
+    exit 1
+}
 
 echo "==> ci.sh: all gates passed"

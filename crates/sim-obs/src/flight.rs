@@ -8,14 +8,20 @@
 //! traffic on the hot path. When the ring is full the oldest event is
 //! overwritten and `flight.dropped` ticks.
 //!
+//! A ring lives as long as its thread. When the thread exits, its ring
+//! leaves the table and its events move, oldest first, into one shared
+//! [`RING_CAP`]-slot ring of exited threads' events, each still tagged
+//! with its thread's name. So a post-mortem dump still shows what the
+//! most recently exited workers saw last, and the table never holds more
+//! than one ring per live thread plus that shared one (the `flight.rings`
+//! gauge), however many short-lived pool threads a server has spawned.
+//!
 //! Dumps happen three ways: automatically via [`auto_dump`] when the
 //! serve layer hits `deadline_exceeded`, sheds on a full queue, or
 //! panics (appending reason-stamped rows to the file named by
 //! `AMPEREBLEED_FLIGHT_FILE`); on demand through the `stats` serve verb
 //! (which embeds [`dump_jsonl`] in its response); and directly from
-//! tests via [`snapshot_records`]. Rings of exited threads stay
-//! registered on purpose — a post-mortem dump can still explain what a
-//! dead worker saw last.
+//! tests via [`snapshot_records`].
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,14 +66,14 @@ pub struct FlightEvent {
 }
 
 /// Fixed-capacity overwrite-oldest event buffer.
-struct Ring {
-    slots: Vec<FlightEvent>,
+struct Ring<T> {
+    slots: Vec<T>,
     /// Index the next event will be written to.
     next: usize,
 }
 
-impl Ring {
-    fn new() -> Ring {
+impl<T> Ring<T> {
+    fn new() -> Ring<T> {
         Ring {
             slots: Vec::with_capacity(RING_CAP),
             next: 0,
@@ -76,7 +82,7 @@ impl Ring {
 
     /// Appends one event; returns `true` when an older event was
     /// overwritten.
-    fn push(&mut self, ev: FlightEvent) -> bool {
+    fn push(&mut self, ev: T) -> bool {
         if self.slots.len() < RING_CAP {
             self.slots.push(ev);
             self.next = self.slots.len() % RING_CAP;
@@ -88,35 +94,95 @@ impl Ring {
         }
     }
 
-    /// Events oldest-first.
-    fn in_order(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        if self.slots.len() == RING_CAP {
-            out.extend_from_slice(&self.slots[self.next..]);
-            out.extend_from_slice(&self.slots[..self.next]);
-        } else {
-            out.extend_from_slice(&self.slots);
-        }
-        out
+    /// Events oldest-first. Until the ring first fills, `next` is its
+    /// length, so the first slice is empty.
+    fn in_order(&self) -> impl Iterator<Item = &T> {
+        self.slots[self.next..]
+            .iter()
+            .chain(&self.slots[..self.next])
     }
 }
 
 /// A ring shared between its owning thread and the dump paths.
-type SharedRing = Arc<Mutex<Ring>>;
+type SharedRing = Arc<Mutex<Ring<FlightEvent>>>;
 
-/// Global table of per-thread rings, keyed by thread name.
-fn registry() -> &'static Mutex<Vec<(String, SharedRing)>> {
-    static REGISTRY: OnceLock<Mutex<Vec<(String, SharedRing)>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The rings of live threads, each with its thread's name, plus the
+/// shared ring that holds the last events of exited threads.
+struct Registry {
+    live: Vec<(Arc<str>, SharedRing)>,
+    exited: Ring<(Arc<str>, FlightEvent)>,
+}
+
+impl Registry {
+    /// Rings in the table: one per live recording thread, plus the
+    /// exited threads' ring.
+    fn rings(&self) -> usize {
+        self.live.len() + 1
+    }
+}
+
+/// The process-global ring table. Lock it before any ring it lists.
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        Mutex::new(Registry {
+            live: Vec::new(),
+            exited: Ring::new(),
+        })
+    })
+}
+
+/// A thread's registered ring. Dropping it (at thread exit) takes the
+/// ring out of the table and moves its events into the exited ring.
+struct Owner {
+    /// The thread's name, shared by every event moved into the exited
+    /// ring so the move allocates nothing per event.
+    name: Arc<str>,
+    ring: SharedRing,
+}
+
+impl Owner {
+    fn register() -> Owner {
+        let name: Arc<str> = Arc::from(std::thread::current().name().unwrap_or("unnamed"));
+        let ring = Arc::new(Mutex::new(Ring::new()));
+        let mut reg = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        reg.live.push((Arc::clone(&name), Arc::clone(&ring)));
+        crate::gauge!("flight.rings").set(reg.rings() as f64);
+        Owner { name, ring }
+    }
+}
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        let mut reg = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        reg.live.retain(|(_, ring)| !Arc::ptr_eq(ring, &self.ring));
+        let ring = self
+            .ring
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut overwritten = 0u64;
+        for ev in ring.in_order() {
+            overwritten += u64::from(reg.exited.push((Arc::clone(&self.name), *ev)));
+        }
+        crate::gauge!("flight.rings").set(reg.rings() as f64);
+        crate::counter!("flight.dropped").add(overwritten);
+    }
 }
 
 thread_local! {
-    /// This thread's ring, registered on first use.
-    static RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
+    /// This thread's ring, registered on first use and unregistered when
+    /// the thread exits.
+    static RING: RefCell<Option<Owner>> = const { RefCell::new(None) };
 }
 
 /// Records one event into the calling thread's ring. One mutex op and a
 /// slot copy after the thread's first event (which registers the ring).
+/// An event recorded while the thread's locals are being torn down has no
+/// ring left and counts as dropped.
 pub fn record(kind: &'static str, trace_id: u64, span_id: u64, a: i64, b: i64, tag: &'static str) {
     if !enabled() {
         return;
@@ -135,27 +201,17 @@ pub fn record(kind: &'static str, trace_id: u64, span_id: u64, a: i64, b: i64, t
         b,
         tag,
     };
-    let overwrote = RING.with(|cell| {
+    let overwrote = RING.try_with(|cell| {
         let mut slot = cell.borrow_mut();
-        let ring = slot.get_or_insert_with(|| {
-            let ring = Arc::new(Mutex::new(Ring::new()));
-            let name = std::thread::current()
-                .name()
-                .unwrap_or("unnamed")
-                .to_string();
-            registry()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((name, Arc::clone(&ring)));
-            ring
-        });
-        let overwrote = ring
+        let owner = slot.get_or_insert_with(Owner::register);
+        let overwrote = owner
+            .ring
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push(ev);
         overwrote
     });
-    if overwrote {
+    if overwrote.unwrap_or(true) {
         dropped.inc();
     }
 }
@@ -163,23 +219,20 @@ pub fn record(kind: &'static str, trace_id: u64, span_id: u64, a: i64, b: i64, t
 /// Freezes every ring into export records, ordered by `(wall_ns, thread)`
 /// so interleaved thread activity reads chronologically.
 pub fn snapshot_records() -> Vec<Record> {
-    let mut rows: Vec<(u64, String, FlightEvent)> = Vec::new();
-    let rings = registry()
+    let reg = registry()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (name, ring) in rings.iter() {
-        let events = ring
+    let mut rows: Vec<(Arc<str>, FlightEvent)> = reg.exited.in_order().cloned().collect();
+    for (name, ring) in &reg.live {
+        let ring = ring
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .in_order();
-        for ev in events {
-            rows.push((ev.wall_ns, name.clone(), ev));
-        }
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        rows.extend(ring.in_order().map(|ev| (Arc::clone(name), *ev)));
     }
-    drop(rings);
-    rows.sort_by(|x, y| (x.0, x.1.as_str()).cmp(&(y.0, y.1.as_str())));
-    rows.into_iter()
-        .map(|(_, thread, ev)| event_record(&thread, &ev))
+    drop(reg);
+    rows.sort_by(|x, y| (x.1.wall_ns, &*x.0).cmp(&(y.1.wall_ns, &*y.0)));
+    rows.iter()
+        .map(|(thread, ev)| event_record(thread, ev))
         .collect()
 }
 
@@ -274,7 +327,7 @@ mod tests {
             assert!(!ring.push(ev(n)), "no overwrite before capacity");
         }
         assert!(ring.push(ev(RING_CAP as i64)), "capacity + 1 overwrites");
-        let events = ring.in_order();
+        let events: Vec<FlightEvent> = ring.in_order().copied().collect();
         assert_eq!(events.len(), RING_CAP);
         assert_eq!(events[0].a, 1, "oldest surviving event first");
         assert_eq!(events[RING_CAP - 1].a, RING_CAP as i64);
@@ -288,6 +341,37 @@ mod tests {
         assert!(jsonl.contains("\"kind\":\"test\""));
         assert!(jsonl.contains("\"tag\":\"unit\""));
         assert!(jsonl.contains(&crate::trace::hex(7)));
+    }
+
+    #[test]
+    fn exited_threads_free_their_rings_but_keep_their_last_events() {
+        // One thread at a time, each joined before the next starts: the
+        // table must shrink back after every exit, not grow to 64.
+        sim_rt::pool::service_scope(|svc| {
+            for i in 0..64 {
+                let worker = svc.spawn(&format!("flight-exit-{i}"), move || {
+                    record("exit-test", 0, 0, i, 0, "exit");
+                });
+                assert!(worker.join().is_ok());
+            }
+        });
+        let rings = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .rings();
+        assert!(
+            rings < 8,
+            "{rings} rings registered after 64 threads exited"
+        );
+        let jsonl = sim_rt::to_jsonl(&snapshot_records());
+        assert!(
+            jsonl
+                .lines()
+                .any(|row| row.contains("\"thread\":\"flight-exit-63\"")
+                    && row.contains("\"kind\":\"exit-test\"")
+                    && row.contains("\"a\":63")),
+            "the last exited thread's event is missing from the dump"
+        );
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //!
 //! Shutdown (a client `shutdown` verb or [`ServerHandle::shutdown`])
 //! drains the scheduler, then the accept loop closes both halves of
-//! every tracked connection; blocked readers observe EOF and exit, the
-//! scope joins, and `run` returns.
+//! every open connection; blocked readers observe EOF and exit, the
+//! scope joins, and `run` returns. A connection whose client closes it
+//! first leaves the table as its reader exits, so a long-running server
+//! holds one socket per open connection, not one per connection ever
+//! accepted.
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -26,6 +30,11 @@ use crate::scheduler::{SchedConfig, Scheduler, Sink};
 
 /// Polling period of the non-blocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
+
+/// Longest request line accepted, in bytes, not counting its newline.
+/// Real requests are a few hundred bytes; a longer line is answered with
+/// `bad_request` and skipped without being buffered.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Everything needed to stand up a server.
 #[derive(Debug, Clone)]
@@ -63,7 +72,9 @@ impl Default for ServerConfig {
 pub struct Server {
     listener: TcpListener,
     scheduler: Arc<Scheduler>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// Open connections by id, kept so a drain can shut down a reader
+    /// still parked in a read. Each reader removes its own entry.
+    conns: Arc<Mutex<BTreeMap<u64, TcpStream>>>,
 }
 
 /// The ctrl-channel: triggers the same drain-then-stop path as the
@@ -107,7 +118,7 @@ impl Server {
         Ok(Server {
             listener,
             scheduler,
-            conns: Arc::new(Mutex::new(Vec::new())),
+            conns: Arc::new(Mutex::new(BTreeMap::new())),
         })
     }
 
@@ -144,7 +155,7 @@ impl Server {
                     Ok((stream, _peer)) => {
                         obs::counter!("serve.connections").inc();
                         // Accepted sockets must block: readers park in
-                        // read_line until data or shutdown arrives.
+                        // a read until data or shutdown arrives.
                         if stream.set_nonblocking(false).is_err() {
                             continue;
                         }
@@ -156,10 +167,15 @@ impl Server {
                         conns
                             .lock()
                             .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(stream);
+                            .insert(conn_id, stream);
                         let sched = Arc::clone(&scheduler);
+                        let conns = Arc::clone(&conns);
                         svc.spawn(&format!("serve-conn-{conn_id}"), move || {
                             connection_loop(read_half, write_half, &sched);
+                            conns
+                                .lock()
+                                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                                .remove(&conn_id);
                         });
                         conn_id += 1;
                     }
@@ -177,7 +193,7 @@ impl Server {
             for stream in conns
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
+                .values()
             {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
@@ -197,26 +213,43 @@ fn connection_loop(read_half: TcpStream, write_half: TcpStream, scheduler: &Sche
             obs::counter!("serve.tx_errors").inc();
         }
     });
+    let bad_request = |message: String| {
+        obs::counter!("serve.bad_requests").inc();
+        sink(Response::failure(-1, "", "error", "bad_request", message));
+    };
 
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                match protocol::parse_request(trimmed) {
-                    Ok(req) => scheduler.submit(req, Arc::clone(&sink)),
-                    Err(message) => {
-                        obs::counter!("serve.bad_requests").inc();
-                        sink(Response::failure(-1, "", "error", "bad_request", message));
-                    }
-                }
+        // One byte past the cap tells an over-long line from one that
+        // fits exactly.
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_until(b'\n', &mut line);
+        if let Ok(0) | Err(_) = read {
+            break;
+        }
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            // Answer, then skip the rest of the line and keep serving:
+            // closing a socket with unread input would reset it and could
+            // destroy the answer before the client reads it.
+            bad_request(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+            if reader.skip_until(b'\n').is_err() {
+                break;
             }
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        match protocol::parse_request(trimmed) {
+            Ok(req) => scheduler.submit(req, Arc::clone(&sink)),
+            Err(message) => bad_request(message),
         }
     }
 }

@@ -29,6 +29,7 @@ const PINNED_METRICS: &[&str] = &[
     "flight.dropped",
     "flight.dumps",
     "flight.events",
+    "flight.rings",
     "hwmon.fs.reads",
     "hwmon.fs.reads_denied",
     "hwmon.fs.writes",
@@ -225,6 +226,7 @@ fn trace_flight_and_profile_metrics_surface_in_exports() {
         "flight.events",
         "flight.dumps",
         "flight.dropped",
+        "flight.rings",
         "pool.profile.enabled",
         "pool.profile.samples",
         "pool.profile.run_ns",

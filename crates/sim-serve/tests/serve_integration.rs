@@ -279,21 +279,42 @@ fn oversized_sample_count_is_refused_and_connection_keeps_serving() {
 }
 
 /// Malformed lines get a typed `bad_request` answer instead of killing
-/// the connection.
+/// the connection. So does a line past `MAX_REQUEST_LINE`, which the
+/// server skips without buffering before it serves the next line.
 #[test]
 fn malformed_lines_answer_bad_request() {
     with_server(ServerConfig::default(), |addr, _| {
         use std::io::{BufRead, BufReader, Write};
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut next_response = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            sim_serve::protocol::parse_response(line.trim()).unwrap()
+        };
+
         stream.write_all(b"{\"id\":1,\"verb\":\n").unwrap();
-        let mut line = String::new();
-        BufReader::new(stream.try_clone().unwrap())
-            .read_line(&mut line)
-            .unwrap();
-        let resp = sim_serve::protocol::parse_response(line.trim()).unwrap();
+        let resp = next_response();
         assert_eq!(resp.status, "error");
         assert_eq!(resp.error_kind.as_deref(), Some("bad_request"));
         assert_eq!(resp.id, -1);
+
+        let huge = vec![b'x'; 10_000_000];
+        assert!(huge.len() > 4 * sim_serve::server::MAX_REQUEST_LINE);
+        stream.write_all(&huge).unwrap();
+        stream
+            .write_all(b"\n{\"id\":2,\"verb\":\"ping\"}\n")
+            .unwrap();
+        let resp = next_response();
+        assert_eq!(resp.error_kind.as_deref(), Some("bad_request"));
+        let message = resp.error.expect("bad_request carries a message");
+        assert!(
+            message.contains(&sim_serve::server::MAX_REQUEST_LINE.to_string()),
+            "the answer names the cap: {message}"
+        );
+        let resp = next_response();
+        assert_eq!(resp.id, 2);
+        assert!(resp.is_ok(), "ping after the long line: {:?}", resp.error);
     });
 }
 
