@@ -81,8 +81,10 @@ fi
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
-echo "==> cargo doc (sim-obs)"
-cargo doc --offline --no-deps -p sim-obs
+echo "==> cargo doc (every crate, warnings are errors)"
+# A renamed or deleted item leaves intra-doc links that name it dangling;
+# rustdoc reports those only as warnings, so deny them here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> observability smoke (trace-level events + JSONL sink)"
 trace_file="$(mktemp)"

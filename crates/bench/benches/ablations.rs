@@ -11,6 +11,7 @@
 //!
 //! Run with: `cargo bench --bench ablations`
 
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::fingerprint::{collect_corpus, evaluate_grid, FingerprintConfig, SensorChannel};
 use amperebleed::rsa_attack::{self, RsaAttackConfig};
 use amperebleed::{Channel, CurrentSampler, Platform};
@@ -20,6 +21,7 @@ use fpga_fabric::ring_oscillator::{RoBank, RoConfig};
 use fpga_fabric::virus::VirusConfig;
 use hwmon_sim::Privilege;
 use rforest::ForestConfig;
+use sim_rt::Pool;
 use trace_stats::Summary;
 use zynq_soc::board::BoardSpec;
 use zynq_soc::{Pdn, PowerDomain, SimTime};
@@ -69,7 +71,7 @@ fn ablate_power_truncation() {
         samples_per_key: 15_000,
         ..RsaAttackConfig::default()
     };
-    let report = rsa_attack::run(&config).expect("attack");
+    let report = rsa_attack::run(&config, UNDEFENDED).expect("attack");
     println!(
         "current channel (1 mA LSB) : {} / 17 groups",
         report.current_separability.distinguishable
@@ -138,7 +140,7 @@ fn ablate_forest() {
         folds: 4,
         ..FingerprintConfig::default()
     };
-    let corpus = collect_corpus(&picks, &base).expect("corpus");
+    let corpus = collect_corpus(&picks, &base, Pool::global(), UNDEFENDED).expect("corpus");
     println!("{:>8} {:>7} {:>8}", "trees", "depth", "top-1");
     for (trees, depth) in [(5, 4), (25, 8), (100, 32), (200, 32)] {
         let config = FingerprintConfig {
@@ -149,7 +151,7 @@ fn ablate_forest() {
             },
             ..base.clone()
         };
-        let grid = evaluate_grid(&corpus, &config, &[3.0]).expect("grid");
+        let grid = evaluate_grid(&corpus, &config, &[3.0], Pool::global()).expect("grid");
         let cell = grid
             .cell(
                 SensorChannel {

@@ -8,6 +8,7 @@
 //! Run with: `cargo bench --bench fig4_rsa_hamming`
 //! Set `AMPEREBLEED_SAMPLES` to override samples per key (default 100000).
 
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::rsa_attack::{self, RsaAttackConfig};
 use amperebleed_bench::section;
 
@@ -26,7 +27,7 @@ fn main() {
         config.samples_per_key,
         config.sample_rate_hz
     );
-    let report = rsa_attack::run(&config).expect("attack");
+    let report = rsa_attack::run(&config, UNDEFENDED).expect("attack");
 
     section("Figure 4: per-key distributions");
     println!(

@@ -10,6 +10,7 @@
 //! Run with: `cargo bench --bench table3_fingerprinting`
 //! Set `AMPEREBLEED_TRACES` to override traces per model (default 10).
 
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::fingerprint::{
     build_fused_dataset, collect_corpus, evaluate_grid, FingerprintConfig, SensorChannel,
     TABLE3_CHANNELS,
@@ -18,6 +19,7 @@ use amperebleed::Channel;
 use amperebleed_bench::{acc, section};
 use dnn_models::{zoo, ModelArch};
 use rforest::cross_validate;
+use sim_rt::Pool;
 use zynq_soc::PowerDomain;
 
 fn main() {
@@ -39,11 +41,11 @@ fn main() {
         all.len(),
         config.traces_per_model
     );
-    let corpus = collect_corpus(&all, &config).expect("corpus");
+    let corpus = collect_corpus(&all, &config, Pool::global(), UNDEFENDED).expect("corpus");
 
     eprintln!("evaluating 6 channels x 5 durations x 10-fold CV ...");
     let durations = [1.0, 2.0, 3.0, 4.0, 5.0];
-    let grid = evaluate_grid(&corpus, &config, &durations).expect("grid");
+    let grid = evaluate_grid(&corpus, &config, &durations, Pool::global()).expect("grid");
 
     section("Table III: top-1 / top-5 accuracy (chance = 0.0256)");
     println!(
@@ -66,7 +68,13 @@ fn main() {
         .filter(|sc| sc.channel == Channel::Current)
         .collect();
     let fused = build_fused_dataset(&corpus, &currents, 5.0, config.resample_len).expect("fused");
-    let fused_report = cross_validate(&fused, &config.forest, config.folds, config.seed);
+    let fused_report = cross_validate(
+        &fused,
+        &config.forest,
+        config.folds,
+        config.seed,
+        Pool::global(),
+    );
     println!(
         "{:<24} {:>62} {:>6}/{:<6}",
         "All currents (fused)",

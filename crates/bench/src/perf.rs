@@ -9,7 +9,7 @@ use dnn_models::zoo;
 use dpu::{DpuAccelerator, DpuConfig};
 use fpga_fabric::bigint::U1024;
 use fpga_fabric::virus::VirusConfig;
-use rforest::{cross_validate_with, Dataset, ForestConfig, RandomForest};
+use rforest::{cross_validate, Dataset, ForestConfig, RandomForest};
 use sim_rt::bench::Harness;
 use sim_rt::Pool;
 use zynq_soc::{PowerDomain, PowerLoad, SimTime};
@@ -100,9 +100,9 @@ fn bench_forest(h: &mut Harness) {
     h.bench_with_setup(
         "rforest_fit_39class_20trees",
         || data.clone(),
-        |d| RandomForest::fit(&d, &config),
+        |d| RandomForest::fit(&d, &config, Pool::global()),
     );
-    let forest = RandomForest::fit(&data, &config);
+    let forest = RandomForest::fit(&data, &config, Pool::global());
     let probe = data.features_of(0).to_vec();
     h.bench("rforest_predict", || forest.predict(black_box(&probe)));
 }
@@ -117,11 +117,11 @@ fn bench_forest_cv_speedup(h: &mut Harness) {
         ..ForestConfig::default()
     };
     let serial = h.bench("rforest_cv10_serial", || {
-        cross_validate_with(&data, &config, 10, 7, &Pool::serial())
+        cross_validate(&data, &config, 10, 7, &Pool::serial())
     });
     let pool = Pool::new(0); // 0 = one worker per available core
     let parallel = h.bench("rforest_cv10_pooled", || {
-        cross_validate_with(&data, &config, 10, 7, &pool)
+        cross_validate(&data, &config, 10, 7, &pool)
     });
     println!(
         "perf/cv10 speedup: {:.2}x on {} worker thread(s)",

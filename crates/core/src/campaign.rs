@@ -10,10 +10,11 @@ use dnn_models::ModelArch;
 use fpga_fabric::covert::CovertConfig;
 use fpga_fabric::ring_oscillator::RoConfig;
 use fpga_fabric::virus::VirusConfig;
+use sim_rt::pool::Pool;
 use zynq_soc::SimTime;
 
 use crate::characterize::{self, CharacterizationReport, CharacterizeConfig};
-use crate::defend::{self, DefendConfig, DefendReport};
+use crate::defend::{self, DefendConfig, DefendReport, UNDEFENDED};
 use crate::fingerprint::{collect_corpus, evaluate_grid, AccuracyGrid, FingerprintConfig};
 use crate::mitigation::restrict_all_sensors;
 use crate::rsa_attack::{self, RsaAttackConfig, RsaAttackReport};
@@ -273,17 +274,18 @@ pub fn run(config: &CampaignConfig) -> Result<CampaignReport> {
     // Stage 2: fingerprinting over the Figure 3 set.
     let phase = TimedPhase::enter("fingerprinting");
     let victims = figure3_models(dnn_models::zoo())?;
-    let corpus = collect_corpus(&victims, &config.fingerprint)?;
+    let corpus = collect_corpus(&victims, &config.fingerprint, Pool::global(), UNDEFENDED)?;
     let fingerprint_grid = evaluate_grid(
         &corpus,
         &config.fingerprint,
         &[config.fingerprint.capture_seconds],
+        Pool::global(),
     )?;
     phase.close(&mut phase_timings);
 
     // Stage 3: RSA Hamming-weight recovery.
     let phase = TimedPhase::enter("rsa");
-    let rsa = rsa_attack::run(&config.rsa)?;
+    let rsa = rsa_attack::run(&config.rsa, UNDEFENDED)?;
     phase.close(&mut phase_timings);
 
     // Stage 4: covert channel round trip.
@@ -322,14 +324,14 @@ pub fn run(config: &CampaignConfig) -> Result<CampaignReport> {
             let phase = TimedPhase::enter("defend");
             let mut cfg = defend_config.clone();
             cfg.seed = config.seed;
-            let report = defend::run(&cfg)?;
+            let report = defend::run(&cfg, Pool::global())?;
             phase.close(&mut phase_timings);
             Some(report)
         }
     };
 
     // Freeze pool telemetry and the whole metrics registry into the report.
-    obs::record_pool_stats("pool.global", &sim_rt::pool::Pool::global().stats());
+    obs::record_pool_stats("pool.global", &Pool::global().stats());
     let metrics = obs::metrics::snapshot();
     obs::info!("core.campaign", "campaign finished");
 

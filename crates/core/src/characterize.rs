@@ -10,17 +10,10 @@
 //! 0.999, voltage r = 0.958 with a near-zero slope, RO r = -0.996, and
 //! the current channel's relative variation is ~261x the RO's.
 
-use sim_rt::json;
-use sim_rt::pool::Pool;
-use sim_rt::ser::Value;
-use sim_store::{Digest, Store};
 use trace_stats::{pearson, LinearFit, Summary};
 use zynq_soc::{PowerDomain, SimTime};
 
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
-
-/// Verb of the store records that hold sweep rows.
-const SWEEP_VERB: &str = "characterize-sweep";
 
 /// Largest `samples_per_level` a sweep accepts: ten times the paper's
 /// 10 000. Every level reserves its capture buffers up front, so the bound
@@ -99,31 +92,6 @@ impl CharacterizeConfig {
         }
         Ok(())
     }
-
-    /// Content digest of row `index` of the sweep (parameterized by the
-    /// platform seed the caller's factory uses), addressing its record in
-    /// a result store.
-    pub fn point_key(&self, seed: u64, index: u64) -> Digest {
-        let content = Value::Object(vec![
-            (
-                "levels".into(),
-                Value::Array(
-                    self.levels
-                        .iter()
-                        .map(|&l| Value::from(u64::from(l)))
-                        .collect(),
-                ),
-            ),
-            ("point".into(), Value::from(index)),
-            ("sample_rate_hz".into(), Value::from(self.sample_rate_hz)),
-            (
-                "samples_per_level".into(),
-                Value::from(self.samples_per_level as u64),
-            ),
-            ("settle_ns".into(), Value::from(self.settle.as_nanos())),
-        ]);
-        Store::key(SWEEP_VERB, seed, &content)
-    }
 }
 
 /// Per-level measurement summary.
@@ -141,75 +109,6 @@ pub struct LevelRow {
     pub ro_count: Option<Summary>,
     /// TDC baseline thermometer code, if a TDC is deployed.
     pub tdc_code: Option<Summary>,
-}
-
-/// Store codec: a [`Summary`] as a stable JSON value (all fields
-/// finite, so shortest-roundtrip floats survive bit-exactly).
-fn summary_to_value(s: &Summary) -> Value {
-    Value::Object(vec![
-        ("count".into(), Value::from(s.count as u64)),
-        ("max".into(), Value::from(s.max)),
-        ("mean".into(), Value::from(s.mean)),
-        ("median".into(), Value::from(s.median)),
-        ("min".into(), Value::from(s.min)),
-        ("std_dev".into(), Value::from(s.std_dev)),
-        ("variance".into(), Value::from(s.variance)),
-    ])
-}
-
-fn summary_from_value(v: &Value) -> Option<Summary> {
-    Some(Summary {
-        count: usize::try_from(v.get("count")?.as_u64()?).ok()?,
-        mean: v.get("mean")?.as_f64()?,
-        variance: v.get("variance")?.as_f64()?,
-        std_dev: v.get("std_dev")?.as_f64()?,
-        min: v.get("min")?.as_f64()?,
-        max: v.get("max")?.as_f64()?,
-        median: v.get("median")?.as_f64()?,
-    })
-}
-
-impl LevelRow {
-    /// Store codec: the row as a stable JSON value. Optional baseline
-    /// columns encode as `null` so a resume distinguishes "not deployed"
-    /// from "absent field".
-    pub fn to_value(&self) -> Value {
-        let opt = |s: &Option<Summary>| match s {
-            Some(s) => summary_to_value(s),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            (
-                "active_groups".into(),
-                Value::from(u64::from(self.active_groups)),
-            ),
-            ("current_ma".into(), summary_to_value(&self.current_ma)),
-            ("power_uw".into(), summary_to_value(&self.power_uw)),
-            ("ro_count".into(), opt(&self.ro_count)),
-            ("tdc_code".into(), opt(&self.tdc_code)),
-            ("voltage_mv".into(), summary_to_value(&self.voltage_mv)),
-        ])
-    }
-
-    /// Decodes a stored row; `None` for any schema mismatch (the
-    /// caller recomputes the level).
-    pub fn from_json(line: &str) -> Option<LevelRow> {
-        let v = json::parse(line).ok()?;
-        let opt = |name: &str| -> Option<Option<Summary>> {
-            match v.get(name)? {
-                Value::Null => Some(None),
-                s => Some(Some(summary_from_value(s)?)),
-            }
-        };
-        Some(LevelRow {
-            active_groups: u32::try_from(v.get("active_groups")?.as_u64()?).ok()?,
-            current_ma: summary_from_value(v.get("current_ma")?)?,
-            voltage_mv: summary_from_value(v.get("voltage_mv")?)?,
-            power_uw: summary_from_value(v.get("power_uw")?)?,
-            ro_count: opt("ro_count")?,
-            tdc_code: opt("tdc_code")?,
-        })
-    }
 }
 
 /// Result of the Figure 2 sweep.
@@ -289,82 +188,6 @@ pub fn run(platform: &Platform, config: &CharacterizeConfig) -> Result<Character
         cursor += level_span;
     }
 
-    analyze(rows)
-}
-
-/// Runs the characterization sweep with one fresh platform per activity
-/// level, spreading levels across `pool`.
-///
-/// The serial [`run`] walks one platform through the levels with a moving
-/// time cursor; here every level instead gets its own platform from
-/// `factory(level)` and is measured right after settling. Keep the factory
-/// a pure function of the level (e.g. `Platform::zcu102(seed ^ level)` with
-/// virus/RO deployment) and the report is identical at any thread count.
-///
-/// # Errors
-///
-/// Same failure modes as [`run`], plus any error from `factory`.
-pub fn run_parallel(
-    factory: impl Fn(u32) -> Result<Platform> + Sync,
-    config: &CharacterizeConfig,
-    pool: &Pool,
-) -> Result<CharacterizationReport> {
-    sweep_parallel(factory, config, pool, None)
-}
-
-/// [`run_parallel`] storing every finished level row in `store` as it
-/// lands, under `config.point_key(seed, i)` for the level's position `i`
-/// in `config.levels`; `seed` is the platform seed the factory uses. A
-/// sweep interrupted mid-flight resumes by rerunning over the same
-/// persistent store: stored rows are decoded instead of re-measured, and
-/// the resumed report is byte-identical to an uninterrupted run.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_parallel`]. A stored record that fails to
-/// decode is re-measured, not an error.
-pub fn run_parallel_checkpointed(
-    factory: impl Fn(u32) -> Result<Platform> + Sync,
-    config: &CharacterizeConfig,
-    pool: &Pool,
-    store: &Store,
-    seed: u64,
-) -> Result<CharacterizationReport> {
-    sweep_parallel(factory, config, pool, Some((store, seed)))
-}
-
-fn sweep_parallel(
-    factory: impl Fn(u32) -> Result<Platform> + Sync,
-    config: &CharacterizeConfig,
-    pool: &Pool,
-    store: Option<(&Store, u64)>,
-) -> Result<CharacterizationReport> {
-    let _trace = obs::trace::span("core.characterize", "sweep");
-    config.validate()?;
-    let rows = pool
-        .par_map(&config.levels, |i, &level| -> Result<LevelRow> {
-            let record = store.map(|(store, seed)| (store, seed, config.point_key(seed, i as u64)));
-            let stored = record.as_ref().and_then(|(store, _, key)| store.get(key));
-            if let Some(row) = stored.as_deref().and_then(LevelRow::from_json) {
-                return Ok(row);
-            }
-            let platform = factory(level)?;
-            let virus = platform
-                .virus()
-                .ok_or(AttackError::NotDeployed("power-virus array"))?;
-            virus
-                .activate_groups(level)
-                .map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
-            let sampler = CurrentSampler::unprivileged(&platform);
-            let cursor = SimTime::from_ms(40) + config.settle;
-            let row = measure_row(&platform, &sampler, config, level, cursor)?;
-            if let Some((store, seed, key)) = &record {
-                store.insert(key, SWEEP_VERB, *seed, &row.to_value().to_json());
-            }
-            Ok(row)
-        })
-        .into_iter()
-        .collect::<Result<Vec<LevelRow>>>()?;
     analyze(rows)
 }
 
@@ -599,37 +422,6 @@ mod tests {
         assert!(report.variation_ratio_vs_ro.is_none());
         assert!(report.variation_ratio_vs_tdc.is_none());
         assert!(report.rows.iter().all(|r| r.ro_count.is_none()));
-    }
-
-    #[test]
-    fn parallel_sweep_is_identical_at_any_thread_count() {
-        // One fixed seed: per-seed RO calibration offsets are larger than
-        // the RO's (deliberately tiny) load response, so the baseline
-        // columns only trend cleanly when every level shares a platform
-        // build. The levels stay independent jobs either way.
-        let factory = |_level: u32| Ok(ready_platform(1_000));
-        let mut cfg = CharacterizeConfig::quick();
-        cfg.levels = vec![0, 40, 80, 120, 160];
-        cfg.samples_per_level = 120;
-        let serial = run_parallel(factory, &cfg, &Pool::serial()).unwrap();
-        let two = run_parallel(factory, &cfg, &Pool::new(2)).unwrap();
-        let eight = run_parallel(factory, &cfg, &Pool::new(8)).unwrap();
-        assert_eq!(serial, two);
-        assert_eq!(serial, eight);
-        // The parallel sweep still reproduces the Figure 2 shape.
-        assert!(
-            serial.pearson_current > 0.99,
-            "r_I = {}",
-            serial.pearson_current
-        );
-        assert!(serial.pearson_ro.unwrap() < -0.9);
-    }
-
-    #[test]
-    fn parallel_sweep_requires_virus_in_factory_platforms() {
-        let factory = |level: u32| Ok(Platform::zcu102(level as u64));
-        let report = run_parallel(factory, &CharacterizeConfig::quick(), &Pool::serial());
-        assert!(matches!(report, Err(AttackError::NotDeployed(_))));
     }
 
     #[test]

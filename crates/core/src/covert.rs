@@ -11,6 +11,7 @@
 use fpga_fabric::covert::{CovertConfig, PREAMBLE};
 use zynq_soc::{PowerDomain, SimTime};
 
+use crate::defend::Hardener;
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
 
 /// Result of one covert reception attempt.
@@ -135,30 +136,23 @@ pub fn receive(
 /// Full covert-channel round trip on a fresh platform derived from
 /// `seed`: deploys a transmitter carrying `payload`, receives it back
 /// through the hwmon current node, and reports the reception plus its bit
-/// error rate. A pure function of `(config, payload, seed)` — the entry
-/// point the serving layer routes `covert` requests to, with every
-/// parameter injected per request.
+/// error rate. A pure function of `(config, payload, seed, harden)` — the
+/// entry point the serving layer routes `covert` requests to, with every
+/// parameter injected per request. `harden` runs after the transmitter
+/// deploys and before reception, so the receiver reads the sensing path
+/// with the countermeasure in place;
+/// [`UNDEFENDED`](crate::defend::UNDEFENDED) runs the plain channel.
 ///
 /// # Errors
 ///
 /// [`AttackError::InvalidParameter`] for an empty payload; otherwise the
-/// deployment and [`receive`] failure modes.
-pub fn round_trip(config: &CovertConfig, payload: &[u8], seed: u64) -> Result<(Reception, f64)> {
-    round_trip_hardened(config, payload, seed, crate::defend::UNDEFENDED)
-}
-
-/// [`round_trip`] against a defended platform: `harden` runs after the
-/// transmitter deploys and before reception, so the receiver reads the
-/// sensing path with the countermeasure in place.
-///
-/// # Errors
-///
-/// As [`round_trip`], plus whatever `harden` returns.
-pub fn round_trip_hardened(
+/// deployment and [`receive`] failure modes, plus whatever `harden`
+/// returns.
+pub fn round_trip(
     config: &CovertConfig,
     payload: &[u8],
     seed: u64,
-    harden: crate::defend::Hardener<'_>,
+    harden: Hardener<'_>,
 ) -> Result<(Reception, f64)> {
     if payload.is_empty() {
         return Err(AttackError::InvalidParameter(

@@ -17,11 +17,8 @@
 //! undefended baseline.
 
 use sim_defend::{stack_from, LayerKind};
-use sim_rt::json;
 use sim_rt::pool::Pool;
 use sim_rt::rng::derive_seed;
-use sim_rt::ser::Value;
-use sim_store::{Digest, Store};
 use trace_stats::roc::{RocCurve, RocPoint};
 
 use fpga_fabric::covert::CovertConfig;
@@ -43,9 +40,6 @@ pub const UNDEFENDED: Hardener<'static> = &|_| Ok(());
 /// (`derive_seed(seed, DEFENSE_STREAM)`), keeping defense randomness
 /// disjoint from every attack stream.
 pub const DEFENSE_STREAM: u64 = 0xDEF0;
-
-/// Verb of the store records that hold sweep points.
-const SWEEP_VERB: &str = "defend-sweep";
 
 /// Which attack a defend sweep measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -188,39 +182,6 @@ impl DefendConfig {
             .collect::<Vec<_>>()
             .join("+")
     }
-
-    /// Content digest of sweep point `index` (0 is the undefended
-    /// baseline, `i + 1` is `strengths[i]`), addressing its record in a
-    /// result store: two sweeps share a stored point exactly when the
-    /// index and every result-affecting parameter match.
-    pub fn point_key(&self, index: u64) -> Digest {
-        let content = Value::Object(vec![
-            ("attack".into(), Value::Str(self.attack.tag().into())),
-            ("covert".into(), Value::Str(format!("{:?}", self.covert))),
-            (
-                "fingerprint".into(),
-                Value::Str(format!("{:?}", self.fingerprint)),
-            ),
-            ("n_models".into(), Value::from(self.n_models as u64)),
-            (
-                "payload".into(),
-                Value::Array(
-                    self.payload
-                        .iter()
-                        .map(|&b| Value::from(b as u64))
-                        .collect(),
-                ),
-            ),
-            ("point".into(), Value::from(index)),
-            ("rsa".into(), Value::Str(format!("{:?}", self.rsa))),
-            ("stack".into(), Value::Str(self.stack_tags())),
-            (
-                "strengths".into(),
-                Value::Array(self.strengths.iter().map(|&s| Value::from(s)).collect()),
-            ),
-        ]);
-        Store::key(SWEEP_VERB, self.seed, &content)
-    }
 }
 
 /// One sweep point: the attack's measured success under one defense
@@ -234,31 +195,6 @@ pub struct DefendPoint {
     /// Whether the attack was blocked outright (unprivileged reads denied
     /// by an install-time layer) rather than statistically degraded.
     pub blocked: bool,
-}
-
-impl DefendPoint {
-    /// Store codec: the point as a stable JSON value. `f64` fields
-    /// survive bit-exactly — the serializer emits shortest-roundtrip
-    /// floats, so a resumed sweep is byte-identical to a fresh one.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("blocked".into(), Value::Bool(self.blocked)),
-            ("strength".into(), Value::from(self.strength)),
-            ("success".into(), Value::from(self.success)),
-        ])
-    }
-
-    /// Decodes a stored point; `None` for any schema mismatch (the
-    /// caller recomputes — a damaged record only costs work, never
-    /// correctness).
-    pub fn from_json(line: &str) -> Option<DefendPoint> {
-        let v = json::parse(line).ok()?;
-        Some(DefendPoint {
-            strength: v.get("strength")?.as_f64()?,
-            success: v.get("success")?.as_f64()?,
-            blocked: v.get("blocked")?.as_bool()?,
-        })
-    }
 }
 
 /// The result of a defend sweep.
@@ -321,7 +257,7 @@ fn attack_point(config: &DefendConfig, strength: Option<f64>) -> Result<DefendPo
         AttackKind::Rsa => {
             let mut cfg = config.rsa.clone();
             cfg.seed = config.seed;
-            rsa_attack::run_hardened(&cfg, &harden).map(|report| {
+            rsa_attack::run(&cfg, &harden).map(|report| {
                 report.current_separability.distinguishable as f64
                     / report.observations.len() as f64
             })
@@ -330,7 +266,7 @@ fn attack_point(config: &DefendConfig, strength: Option<f64>) -> Result<DefendPo
             let mut cfg = config.fingerprint.clone();
             cfg.seed = config.seed;
             // Serial inner pool: the sweep point is the parallel axis.
-            fingerprint::run_hardened(&cfg, config.n_models, &Pool::serial(), &harden).map(|grid| {
+            fingerprint::run(&cfg, config.n_models, &Pool::serial(), &harden).map(|grid| {
                 grid.rows
                     .iter()
                     .flat_map(|(_, cells)| cells.iter().map(|c| c.top1))
@@ -338,7 +274,7 @@ fn attack_point(config: &DefendConfig, strength: Option<f64>) -> Result<DefendPo
             })
         }
         AttackKind::Covert => {
-            covert::round_trip_hardened(&config.covert, &config.payload, config.seed, &harden)
+            covert::round_trip(&config.covert, &config.payload, config.seed, &harden)
                 .map(|(_rx, ber)| bsc_capacity(ber))
         }
     };
@@ -366,42 +302,15 @@ fn attack_point(config: &DefendConfig, strength: Option<f64>) -> Result<DefendPo
     Ok(point)
 }
 
-/// Runs a defend sweep on the process-wide pool.
+/// Runs a defend sweep with the sweep points spread across `pool`. Each
+/// point is a pure function of `(seed, attack config, layers, strength)`,
+/// so the report is byte-identical at any pool width.
 ///
 /// # Errors
 ///
 /// Propagates configuration and attack failures (a permission-denied
 /// capture is a *blocked* point, not an error).
-pub fn run(config: &DefendConfig) -> Result<DefendReport> {
-    run_with(config, Pool::global())
-}
-
-/// [`run`] with the sweep points spread across `pool`. Each point is a
-/// pure function of `(seed, attack config, layers, strength)`, so the
-/// report is byte-identical at any pool width.
-///
-/// # Errors
-///
-/// Propagates configuration and attack failures.
-pub fn run_with(config: &DefendConfig, pool: &Pool) -> Result<DefendReport> {
-    sweep(config, pool, None)
-}
-
-/// [`run_with`] storing every finished point in `store` as it lands, under
-/// [`DefendConfig::point_key`]. A sweep interrupted mid-flight resumes by
-/// rerunning over the same persistent store: stored points are decoded
-/// instead of recomputed, and the resumed report is byte-identical to an
-/// uninterrupted run (the codec round-trips `f64` bit-exactly).
-///
-/// # Errors
-///
-/// Propagates configuration and attack failures. A stored record that
-/// fails to decode is recomputed, not an error.
-pub fn run_checkpointed(config: &DefendConfig, pool: &Pool, store: &Store) -> Result<DefendReport> {
-    sweep(config, pool, Some(store))
-}
-
-fn sweep(config: &DefendConfig, pool: &Pool, store: Option<&Store>) -> Result<DefendReport> {
+pub fn run(config: &DefendConfig, pool: &Pool) -> Result<DefendReport> {
     config.validate()?;
     obs::counter!("defend.sweeps").inc();
     obs::info!(
@@ -410,13 +319,10 @@ fn sweep(config: &DefendConfig, pool: &Pool, store: Option<&Store>) -> Result<De
         "attack" => config.attack.tag(),
         "points" => config.strengths.len() as u64
     );
-    let baseline = stored_point(config, store, 0, || attack_point(config, None))?;
-    let indices: Vec<usize> = (0..config.strengths.len()).collect();
+    let baseline = attack_point(config, None)?;
     let points: Vec<DefendPoint> = pool
-        .par_map(&indices, |_, &i| {
-            stored_point(config, store, i as u64 + 1, || {
-                attack_point(config, config.strengths.get(i).copied())
-            })
+        .par_map(&config.strengths, |_, &strength| {
+            attack_point(config, Some(strength))
         })
         .into_iter()
         .collect::<Result<_>>()?;
@@ -437,27 +343,6 @@ fn sweep(config: &DefendConfig, pool: &Pool, store: Option<&Store>) -> Result<De
         points,
         curve,
     })
-}
-
-/// Serves point `index` from `store` when a decodable record exists,
-/// otherwise computes it via `compute` and stores the result. Without a
-/// store the point is simply computed.
-fn stored_point(
-    config: &DefendConfig,
-    store: Option<&Store>,
-    index: u64,
-    compute: impl FnOnce() -> Result<DefendPoint>,
-) -> Result<DefendPoint> {
-    let Some(store) = store else {
-        return compute();
-    };
-    let key = config.point_key(index);
-    if let Some(point) = store.get(&key).as_deref().and_then(DefendPoint::from_json) {
-        return Ok(point);
-    }
-    let point = compute()?;
-    store.insert(&key, SWEEP_VERB, config.seed, &point.to_value().to_json());
-    Ok(point)
 }
 
 #[cfg(test)]
@@ -494,7 +379,7 @@ mod tests {
     #[test]
     fn covert_sweep_degrades_with_strength() {
         let config = DefendConfig::quick(AttackKind::Covert);
-        let report = run_with(&config, &Pool::serial()).unwrap();
+        let report = run(&config, &Pool::serial()).unwrap();
         assert_eq!(report.points.len(), 3);
         // Strength zero equals the undefended baseline exactly.
         assert_eq!(report.points[0].success, report.baseline.success);
@@ -517,7 +402,7 @@ mod tests {
             let mut config = DefendConfig::quick(attack);
             config.layers = vec![LayerKind::RootOnly];
             config.strengths = vec![1.0];
-            let report = run_with(&config, &Pool::serial()).unwrap();
+            let report = run(&config, &Pool::serial()).unwrap();
             assert!(report.points[0].blocked, "{attack} not blocked");
             assert_eq!(report.points[0].success, 0.0);
             assert!(!report.baseline.blocked);

@@ -233,6 +233,7 @@ pub fn rsa_report_to_jsonl(report: &RsaAttackReport) -> String {
 mod tests {
     use super::*;
     use crate::characterize::{self, CharacterizeConfig};
+    use crate::defend::UNDEFENDED;
     use crate::rsa_attack::{self, RsaAttackConfig};
     use crate::{Channel, Platform};
     use fpga_fabric::virus::VirusConfig;
@@ -339,7 +340,7 @@ mod tests {
             samples_per_key: 400,
             ..RsaAttackConfig::quick()
         };
-        let report = rsa_attack::run(&cfg).unwrap();
+        let report = rsa_attack::run(&cfg, UNDEFENDED).unwrap();
         let jsonl = rsa_report_to_jsonl(&report);
         assert_eq!(jsonl.lines().count(), report.observations.len());
         assert!(jsonl.contains("\"hamming_weight\":1024"), "{jsonl}");
@@ -353,7 +354,7 @@ mod tests {
             samples_per_key: 600,
             ..RsaAttackConfig::quick()
         };
-        let report = rsa_attack::run(&cfg).unwrap();
+        let report = rsa_attack::run(&cfg, UNDEFENDED).unwrap();
         let csv = rsa_report_to_csv(&report);
         assert_eq!(csv.lines().count(), 4);
         assert!(csv.contains("hamming_weight"));

@@ -14,13 +14,14 @@
 //! current is moderate, and FPGA *voltage* is barely above chance.
 
 use dnn_models::ModelArch;
-use rforest::{cross_validate_with, CvReport, Dataset, ForestConfig, RandomForest};
+use rforest::{cross_validate, CvReport, Dataset, ForestConfig, RandomForest};
 use sim_rt::pool::Pool;
 use trace_stats::features::feature_vector;
 use zynq_soc::{PowerDomain, SimTime};
 
 use dpu::DpuConfig;
 
+use crate::defend::Hardener;
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result, Trace};
 
 /// One sensor/channel combination — a row of Table III.
@@ -160,19 +161,10 @@ pub struct ModelCapture {
 /// Collects the offline trace corpus: for each model, `traces_per_model`
 /// runs on fresh platform instances (fresh noise seeds model run-to-run
 /// variation), sampling all six channels at the sensor's natural 35 ms
-/// update cadence. Captures run on the process-wide thread pool.
-///
-/// # Errors
-///
-/// Propagates platform deployment and capture errors.
-pub fn collect_corpus(
-    models: &[&ModelArch],
-    config: &FingerprintConfig,
-) -> Result<Vec<ModelCapture>> {
-    collect_corpus_with(models, config, Pool::global())
-}
-
-/// [`collect_corpus`] with captures spread across `pool`.
+/// update cadence. Captures are spread across `pool`; `harden` runs on
+/// each fresh per-capture platform after the victim model loads and
+/// before the attacker samples ([`UNDEFENDED`](crate::defend::UNDEFENDED)
+/// for the plain attack).
 ///
 /// Each `(model, repetition)` capture derives its platform seed purely
 /// from the campaign seed and its own indices, so the corpus is
@@ -180,27 +172,13 @@ pub fn collect_corpus(
 ///
 /// # Errors
 ///
-/// Propagates platform deployment and capture errors.
-pub fn collect_corpus_with(
+/// Propagates platform deployment and capture errors, plus whatever
+/// `harden` returns.
+pub fn collect_corpus(
     models: &[&ModelArch],
     config: &FingerprintConfig,
     pool: &Pool,
-) -> Result<Vec<ModelCapture>> {
-    collect_corpus_hardened(models, config, pool, crate::defend::UNDEFENDED)
-}
-
-/// [`collect_corpus_with`] against defended platforms: `harden` runs on
-/// each fresh per-capture platform after the victim model loads and
-/// before the attacker samples.
-///
-/// # Errors
-///
-/// As [`collect_corpus_with`], plus whatever `harden` returns.
-pub fn collect_corpus_hardened(
-    models: &[&ModelArch],
-    config: &FingerprintConfig,
-    pool: &Pool,
-    harden: crate::defend::Hardener<'_>,
+    harden: Hardener<'_>,
 ) -> Result<Vec<ModelCapture>> {
     if models.is_empty() {
         return Err(AttackError::InvalidParameter("no victim models".into()));
@@ -351,21 +329,7 @@ impl AccuracyGrid {
 
 /// Runs the full Table III evaluation over a corpus: for every channel and
 /// every duration in `durations_s`, build the dataset and cross-validate a
-/// fresh forest. Cells are evaluated on the process-wide thread pool.
-///
-/// # Errors
-///
-/// Propagates dataset construction errors.
-pub fn evaluate_grid(
-    corpus: &[ModelCapture],
-    config: &FingerprintConfig,
-    durations_s: &[f64],
-) -> Result<AccuracyGrid> {
-    evaluate_grid_with(corpus, config, durations_s, Pool::global())
-}
-
-/// [`evaluate_grid`] with the `channel x duration` cells spread across
-/// `pool`.
+/// fresh forest. The `channel x duration` cells are spread across `pool`.
 ///
 /// Each cell trains its forests serially (the grid itself is the parallel
 /// axis), and every cell is a pure function of the corpus and the campaign
@@ -374,7 +338,7 @@ pub fn evaluate_grid(
 /// # Errors
 ///
 /// Propagates dataset construction errors.
-pub fn evaluate_grid_with(
+pub fn evaluate_grid(
     corpus: &[ModelCapture],
     config: &FingerprintConfig,
     durations_s: &[f64],
@@ -390,7 +354,7 @@ pub fn evaluate_grid_with(
         &cells_spec,
         |_, &(channel, duration)| -> Result<AccuracyCell> {
             let dataset = build_dataset(corpus, channel, duration, config.resample_len)?;
-            let report: CvReport = cross_validate_with(
+            let report: CvReport = cross_validate(
                 &dataset,
                 &config.forest,
                 config.folds,
@@ -421,30 +385,20 @@ pub fn evaluate_grid_with(
 /// grid at the configured capture length. This is the entry point the
 /// serving layer routes `fingerprint` requests to — everything the run
 /// does is a pure function of `(config, n_models)`, so identical requests
-/// batch onto one computation.
+/// batch onto one computation. `harden` acts on every corpus capture (see
+/// [`collect_corpus`]); the offline training/evaluation half is unchanged,
+/// because a defense acts on the sensing path, not on the classifier.
 ///
 /// # Errors
 ///
 /// [`AttackError::InvalidParameter`] when `n_models` is zero or exceeds
-/// the zoo; otherwise the [`collect_corpus_with`] /
-/// [`evaluate_grid_with`] failure modes.
-pub fn run_with(config: &FingerprintConfig, n_models: usize, pool: &Pool) -> Result<AccuracyGrid> {
-    run_hardened(config, n_models, pool, crate::defend::UNDEFENDED)
-}
-
-/// [`run_with`] against defended platforms: every corpus capture runs
-/// with `harden` applied (see [`collect_corpus_hardened`]); the offline
-/// training/evaluation half is unchanged — the defense acts on the
-/// sensing path, not on the classifier.
-///
-/// # Errors
-///
-/// As [`run_with`], plus whatever `harden` returns.
-pub fn run_hardened(
+/// the zoo; otherwise the [`collect_corpus`] / [`evaluate_grid`] failure
+/// modes.
+pub fn run(
     config: &FingerprintConfig,
     n_models: usize,
     pool: &Pool,
-    harden: crate::defend::Hardener<'_>,
+    harden: Hardener<'_>,
 ) -> Result<AccuracyGrid> {
     let zoo = dnn_models::zoo();
     if n_models == 0 || n_models > zoo.len() {
@@ -454,8 +408,8 @@ pub fn run_hardened(
         )));
     }
     let victims: Vec<&ModelArch> = zoo.iter().take(n_models).collect();
-    let corpus = collect_corpus_hardened(&victims, config, pool, harden)?;
-    evaluate_grid_with(&corpus, config, &[config.capture_seconds], pool)
+    let corpus = collect_corpus(&victims, config, pool, harden)?;
+    evaluate_grid(&corpus, config, &[config.capture_seconds], pool)
 }
 
 /// The online attack object: a trained classifier for one channel.
@@ -480,7 +434,7 @@ impl Fingerprinter {
         config: &FingerprintConfig,
     ) -> Result<Self> {
         let dataset = build_dataset(corpus, channel, config.capture_seconds, config.resample_len)?;
-        let forest = RandomForest::fit(&dataset, &config.forest);
+        let forest = RandomForest::fit(&dataset, &config.forest, Pool::global());
         let mut model_names = vec![String::new(); dataset.n_classes()];
         for capture in corpus {
             model_names[capture.label] = capture.model_name.clone();
@@ -531,6 +485,7 @@ impl Fingerprinter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defend::UNDEFENDED;
     use dnn_models::zoo;
 
     fn small_corpus() -> (Vec<ModelCapture>, FingerprintConfig) {
@@ -540,7 +495,7 @@ mod tests {
             .map(|n| models.iter().find(|m| &m.name == n).unwrap())
             .collect();
         let config = FingerprintConfig::quick();
-        let corpus = collect_corpus(&picks, &config).unwrap();
+        let corpus = collect_corpus(&picks, &config, Pool::global(), UNDEFENDED).unwrap();
         (corpus, config)
     }
 
@@ -559,7 +514,7 @@ mod tests {
     #[test]
     fn fpga_current_separates_models() {
         let (corpus, config) = small_corpus();
-        let grid = evaluate_grid(&corpus, &config, &[2.0]).unwrap();
+        let grid = evaluate_grid(&corpus, &config, &[2.0], Pool::global()).unwrap();
         let fpga_current = grid
             .cell(
                 SensorChannel {
@@ -580,7 +535,7 @@ mod tests {
     #[test]
     fn voltage_channel_is_much_weaker_than_current() {
         let (corpus, config) = small_corpus();
-        let grid = evaluate_grid(&corpus, &config, &[2.0]).unwrap();
+        let grid = evaluate_grid(&corpus, &config, &[2.0], Pool::global()).unwrap();
         let current = grid
             .cell(
                 SensorChannel {
@@ -659,8 +614,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fused.n_features(), 4 * single.n_features());
-        let fused_report = rforest::cross_validate(&fused, &config.forest, config.folds, 1);
-        let single_report = rforest::cross_validate(&single, &config.forest, config.folds, 1);
+        let fused_report = cross_validate(&fused, &config.forest, config.folds, 1, Pool::global());
+        let single_report =
+            cross_validate(&single, &config.forest, config.folds, 1, Pool::global());
         assert!(
             fused_report.top1 >= single_report.top1 - 0.05,
             "fusion {} should not trail single-channel {}",
@@ -684,7 +640,7 @@ mod tests {
     fn empty_model_list_rejected() {
         let config = FingerprintConfig::quick();
         assert!(matches!(
-            collect_corpus(&[], &config),
+            collect_corpus(&[], &config, Pool::global(), UNDEFENDED),
             Err(AttackError::InvalidParameter(_))
         ));
     }
@@ -702,7 +658,7 @@ mod tests {
     #[test]
     fn grid_chance_baseline() {
         let (corpus, config) = small_corpus();
-        let grid = evaluate_grid(&corpus, &config, &[1.0]).unwrap();
+        let grid = evaluate_grid(&corpus, &config, &[1.0], Pool::global()).unwrap();
         assert_eq!(grid.n_classes, 4);
         assert!((grid.chance() - 0.25).abs() < 1e-12);
         assert_eq!(grid.rows.len(), 6);

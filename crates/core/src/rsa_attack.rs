@@ -18,6 +18,7 @@ use trace_stats::separability::{separability_quantized, Separability};
 use trace_stats::Summary;
 use zynq_soc::{PowerDomain, SimTime};
 
+use crate::defend::Hardener;
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
 
 /// Largest `samples_per_key` the experiment accepts: ten times the
@@ -183,27 +184,17 @@ impl RsaAttackReport {
 
 /// Runs the Hamming-weight experiment: for each weight, a fresh platform
 /// deploys an RSA circuit with a key of that weight and the unprivileged
-/// attacker profiles the FPGA current and power channels.
+/// attacker profiles the FPGA current and power channels. `harden` is
+/// applied to each fresh per-key platform after the victim circuit
+/// deploys and before any capture, modelling a countermeasure the victim
+/// (not the attacker) controls; [`UNDEFENDED`](crate::defend::UNDEFENDED)
+/// runs the plain attack.
 ///
 /// # Errors
 ///
-/// Propagates key construction, deployment, capture and analysis errors.
-pub fn run(config: &RsaAttackConfig) -> Result<RsaAttackReport> {
-    run_hardened(config, crate::defend::UNDEFENDED)
-}
-
-/// [`run`] against a defended platform: `harden` is applied to each fresh
-/// per-key platform after the victim circuit deploys and before any
-/// capture, modelling a countermeasure the victim (not the attacker)
-/// controls.
-///
-/// # Errors
-///
-/// As [`run`], plus whatever `harden` returns.
-pub fn run_hardened(
-    config: &RsaAttackConfig,
-    harden: crate::defend::Hardener<'_>,
-) -> Result<RsaAttackReport> {
+/// Propagates key construction, deployment, capture and analysis errors,
+/// plus whatever `harden` returns.
+pub fn run(config: &RsaAttackConfig, harden: Hardener<'_>) -> Result<RsaAttackReport> {
     config.validate()?;
     let mut observations = Vec::with_capacity(config.hamming_weights.len());
     let mut current_groups: Vec<(String, Vec<f64>)> = Vec::new();
@@ -369,6 +360,7 @@ pub fn windowed_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defend::UNDEFENDED;
 
     #[test]
     fn paper_weights_match_section_iv_c() {
@@ -384,7 +376,7 @@ mod tests {
 
     #[test]
     fn mean_current_is_monotone_in_weight() {
-        let report = run(&RsaAttackConfig::quick()).unwrap();
+        let report = run(&RsaAttackConfig::quick(), UNDEFENDED).unwrap();
         let means: Vec<f64> = report
             .observations
             .iter()
@@ -397,7 +389,7 @@ mod tests {
 
     #[test]
     fn adjacent_groups_pass_tvla_threshold() {
-        let report = run(&RsaAttackConfig::quick()).unwrap();
+        let report = run(&RsaAttackConfig::quick(), UNDEFENDED).unwrap();
         for (i, t) in report.adjacent_current_t().iter().enumerate() {
             assert!(*t > 4.5, "adjacent groups {i}/{} only reach t = {t}", i + 1);
         }
@@ -405,7 +397,7 @@ mod tests {
 
     #[test]
     fn current_separates_more_groups_than_power() {
-        let report = run(&RsaAttackConfig::quick()).unwrap();
+        let report = run(&RsaAttackConfig::quick(), UNDEFENDED).unwrap();
         assert!(report.current_separates_all());
         assert!(
             report.power_separability.distinguishable
@@ -420,7 +412,7 @@ mod tests {
             ..RsaAttackConfig::quick()
         };
         assert!(matches!(
-            run(&config),
+            run(&config, UNDEFENDED),
             Err(AttackError::InvalidParameter(_))
         ));
     }
@@ -432,7 +424,7 @@ mod tests {
             ..RsaAttackConfig::quick()
         };
         assert!(matches!(
-            run(&config),
+            run(&config, UNDEFENDED),
             Err(AttackError::InvalidParameter(_))
         ));
     }
@@ -508,7 +500,7 @@ mod tests {
             samples_per_key: 4_000,
             ..RsaAttackConfig::quick()
         };
-        let report = run(&config).unwrap();
+        let report = run(&config, UNDEFENDED).unwrap();
         let delta = report.observations[1].current_ma.mean - report.observations[0].current_ma.mean;
         assert!((3.0..15.0).contains(&delta), "step {delta} mA");
     }

@@ -212,7 +212,7 @@ where
     }
     let dataset =
         Dataset::new(features, labels).map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
-    let forest = RandomForest::fit(&dataset, forest);
+    let forest = RandomForest::fit(&dataset, forest, Pool::global());
     let correct = holdout
         .iter()
         .filter(|(f, label)| forest.predict(f) == *label)

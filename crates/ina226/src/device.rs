@@ -435,6 +435,7 @@ mod tests {
         };
         s.write_register(Register::Configuration, cfg.encode())
             .unwrap();
+        assert_eq!(s.read_register(Register::Configuration), cfg.encode());
         assert_eq!(s.config().avg, AvgMode::X16);
         assert_eq!(s.config().cycle_micros(), 16 * 2_200);
     }
@@ -530,6 +531,9 @@ mod tests {
         let mut s = quiet(0.002, 0.001);
         s.convert_constant(-1.0, 0.85);
         assert!((s.current_amps() + 1.0).abs() < 0.005);
+        // The raw register holds the current in two's complement.
+        let raw = s.read_register(Register::Current) as i16;
+        assert_eq!(raw as f64 * 0.001, s.current_amps());
     }
 
     sim_rt::prop_check! {

@@ -43,7 +43,6 @@
 pub mod alert;
 mod device;
 mod error;
-pub mod i2c;
 mod registers;
 
 pub use device::{Ina226, Readouts};

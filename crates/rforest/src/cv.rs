@@ -75,6 +75,11 @@ pub fn stratified_k_fold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>>
 /// folds and tests on the held-out fold; reports mean top-1 and top-5
 /// accuracy.
 ///
+/// Each fold is an independent train/test job on `pool` (the forests
+/// inside a fold train serially to avoid nested parallelism), and fold
+/// accuracies are reduced in fold order, so the report is identical at
+/// any thread count.
+///
 /// # Panics
 ///
 /// Panics if `k < 2` or `k` exceeds the dataset size.
@@ -83,6 +88,7 @@ pub fn stratified_k_fold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>>
 ///
 /// ```
 /// use rforest::{cross_validate, Dataset, ForestConfig};
+/// use sim_rt::pool::Pool;
 ///
 /// let mut features = Vec::new();
 /// let mut labels = Vec::new();
@@ -94,24 +100,11 @@ pub fn stratified_k_fold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>>
 /// }
 /// let data = Dataset::new(features, labels)?;
 /// let config = ForestConfig { n_trees: 10, ..ForestConfig::default() };
-/// let report = cross_validate(&data, &config, 5, 1);
+/// let report = cross_validate(&data, &config, 5, 1, Pool::global());
 /// assert!(report.top1 > 0.9);
 /// # Ok::<(), rforest::DatasetError>(())
 /// ```
-pub fn cross_validate(data: &Dataset, config: &ForestConfig, k: usize, seed: u64) -> CvReport {
-    cross_validate_with(data, config, k, seed, Pool::global())
-}
-
-/// [`cross_validate`] with fold evaluations spread across `pool`.
-///
-/// Each fold is an independent train/test job (the forests inside a fold
-/// train serially to avoid nested parallelism), and fold accuracies are
-/// reduced in fold order, so the report is identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `k < 2` or `k` exceeds the dataset size.
-pub fn cross_validate_with(
+pub fn cross_validate(
     data: &Dataset,
     config: &ForestConfig,
     k: usize,
@@ -129,7 +122,7 @@ pub fn cross_validate_with(
             .flat_map(|(_, fold)| fold.iter().copied())
             .collect();
         let train = data.subset(&train_idx);
-        let forest = RandomForest::fit_with(&train, config, &Pool::serial());
+        let forest = RandomForest::fit(&train, config, &Pool::serial());
         let test = data.subset(&folds[test_fold]);
         (
             forest.top_k_accuracy(&test, 1),
@@ -190,7 +183,7 @@ mod tests {
             n_trees: 15,
             ..ForestConfig::default()
         };
-        let report = cross_validate(&data, &config, 10, 0);
+        let report = cross_validate(&data, &config, 10, 0, Pool::global());
         assert_eq!(report.folds, 10);
         assert!(report.top1 > 0.95, "top1 {}", report.top1);
         assert!(report.top5 >= report.top1);
@@ -210,7 +203,7 @@ mod tests {
             n_trees: 10,
             ..ForestConfig::default()
         };
-        let report = cross_validate(&data, &config, 5, 1);
+        let report = cross_validate(&data, &config, 5, 1, Pool::global());
         assert!(
             report.top1 < 0.35,
             "top1 {} should be near 0.1",
@@ -222,7 +215,7 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn single_fold_rejected() {
         let data = labelled(2, 5);
-        let _ = cross_validate(&data, &ForestConfig::default(), 1, 0);
+        let _ = cross_validate(&data, &ForestConfig::default(), 1, 0, Pool::global());
     }
 
     #[test]
@@ -248,9 +241,9 @@ mod tests {
             n_trees: 6,
             ..ForestConfig::default()
         };
-        let serial = cross_validate_with(&data, &config, 5, 2, &Pool::serial());
+        let serial = cross_validate(&data, &config, 5, 2, &Pool::serial());
         for threads in [2, 8] {
-            let parallel = cross_validate_with(&data, &config, 5, 2, &Pool::new(threads));
+            let parallel = cross_validate(&data, &config, 5, 2, &Pool::new(threads));
             assert_eq!(
                 serial, parallel,
                 "thread count {threads} changed the report"

@@ -46,15 +46,6 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains the ensemble on the process-wide thread pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.n_trees` is zero.
-    pub fn fit(data: &Dataset, config: &ForestConfig) -> Self {
-        Self::fit_with(data, config, Pool::global())
-    }
-
     /// Trains the ensemble, building trees in parallel on `pool`.
     ///
     /// Each tree's training and bootstrap seeds are derived up front from
@@ -64,7 +55,7 @@ impl RandomForest {
     /// # Panics
     ///
     /// Panics if `config.n_trees` is zero.
-    pub fn fit_with(data: &Dataset, config: &ForestConfig, pool: &Pool) -> Self {
+    pub fn fit(data: &Dataset, config: &ForestConfig, pool: &Pool) -> Self {
         assert!(config.n_trees > 0, "forest needs at least one tree");
         let _span = obs::span!("rforest.forest", "fit");
         obs::counter!("rforest.fits").inc();
@@ -191,6 +182,7 @@ mod tests {
                 n_trees: 20,
                 ..ForestConfig::default()
             },
+            Pool::global(),
         );
         assert_eq!(forest.accuracy(&data), 1.0);
         assert_eq!(forest.n_classes(), 4);
@@ -206,6 +198,7 @@ mod tests {
                 n_trees: 15,
                 ..ForestConfig::default()
             },
+            Pool::global(),
         );
         let votes = forest.votes(&[0.0, 0.0]);
         assert_eq!(votes.iter().sum::<u32>(), 15);
@@ -220,6 +213,7 @@ mod tests {
                 n_trees: 25,
                 ..ForestConfig::default()
             },
+            Pool::global(),
         );
         let x = data.features_of(0);
         let top = forest.top_k(x, 3);
@@ -240,6 +234,7 @@ mod tests {
                 max_depth: 3,
                 ..ForestConfig::default()
             },
+            Pool::global(),
         );
         let top1 = forest.top_k_accuracy(&data, 1);
         let top5 = forest.top_k_accuracy(&data, 5);
@@ -255,8 +250,8 @@ mod tests {
             seed: 99,
             ..ForestConfig::default()
         };
-        let a = RandomForest::fit(&data, &config);
-        let b = RandomForest::fit(&data, &config);
+        let a = RandomForest::fit(&data, &config, Pool::global());
+        let b = RandomForest::fit(&data, &config, Pool::global());
         assert_eq!(a, b);
     }
 
@@ -268,9 +263,9 @@ mod tests {
             seed: 7,
             ..ForestConfig::default()
         };
-        let serial = RandomForest::fit_with(&data, &config, &Pool::serial());
+        let serial = RandomForest::fit(&data, &config, &Pool::serial());
         for threads in [2, 8] {
-            let parallel = RandomForest::fit_with(&data, &config, &Pool::new(threads));
+            let parallel = RandomForest::fit(&data, &config, &Pool::new(threads));
             assert_eq!(
                 serial, parallel,
                 "thread count {threads} changed the forest"
@@ -288,6 +283,7 @@ mod tests {
                 bootstrap: false,
                 ..ForestConfig::default()
             },
+            Pool::global(),
         );
         assert_eq!(forest.accuracy(&data), 1.0);
     }
@@ -302,6 +298,7 @@ mod tests {
                 n_trees: 0,
                 ..ForestConfig::default()
             },
+            Pool::global(),
         );
     }
 }

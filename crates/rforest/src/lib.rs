@@ -17,6 +17,7 @@
 //!
 //! ```
 //! use rforest::{Dataset, ForestConfig, RandomForest};
+//! use sim_rt::pool::Pool;
 //!
 //! // Two trivially separable classes.
 //! let features = vec![
@@ -25,7 +26,7 @@
 //! ];
 //! let labels = vec![0, 0, 0, 1, 1, 1];
 //! let data = Dataset::new(features, labels)?;
-//! let forest = RandomForest::fit(&data, &ForestConfig::default());
+//! let forest = RandomForest::fit(&data, &ForestConfig::default(), Pool::global());
 //! assert_eq!(forest.predict(&[0.05, 0.05]), 0);
 //! assert_eq!(forest.predict(&[5.05, 5.05]), 1);
 //! # Ok::<(), rforest::DatasetError>(())
@@ -39,7 +40,7 @@ mod dataset;
 mod forest;
 mod tree;
 
-pub use cv::{cross_validate, cross_validate_with, stratified_k_fold, CvReport};
+pub use cv::{cross_validate, stratified_k_fold, CvReport};
 pub use dataset::{Dataset, DatasetError};
 pub use forest::{ForestConfig, RandomForest};
 pub use tree::{DecisionTree, TreeConfig};

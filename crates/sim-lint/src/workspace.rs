@@ -12,7 +12,7 @@
 //!   transitive summary acquires; callees are resolved by unique fn name,
 //!   so ambiguous or std-prelude names never wire unrelated code
 //!   together). Any cycle is an error — the same inversion the runtime
-//!   lockdep ([`sim_rt::lockorder`]) would catch in a debug run, caught
+//!   lockdep (`sim_rt::lockorder`) would catch in a debug run, caught
 //!   before one. A guard held across a `Pool::scope`/`submit` boundary
 //!   is flagged too.
 //! * `metric-name-drift` — every metric-name literal registered by

@@ -35,7 +35,7 @@
 //!
 //! # Tracing and the flight recorder
 //!
-//! [`trace`] adds deterministic request tracing on top of events: a
+//! [`trace`](mod@trace) adds deterministic request tracing on top of events: a
 //! [`TraceContext`] minted from `(tenant, seed, request counter)`
 //! propagates by value across pool workers, spans reconstruct into trees,
 //! and the structural JSONL export is byte-identical at any pool width.

@@ -21,7 +21,7 @@
 //!   protocols round-trip through one representation.
 //! * [`check`] — seeded randomized property tests via
 //!   [`prop_check!`], reproducible from the test name alone.
-//! * [`bench`] — a wall-clock micro-benchmark harness with a `--quick`
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness with a `--quick`
 //!   smoke mode that lets the bench suite run inside `cargo test`.
 //! * [`lockorder`] — a debug-build lock-order watchdog
 //!   ([`lockorder::TrackedMutex`]) that records held-before edges per lock

@@ -373,7 +373,7 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool
 /// this pool runs (board captures, campaign phases) dwarf one `Instant`
 /// read, so the sample rate is 1 — every job is a sample.
 ///
-/// [`folded`] renders the table in folded-stack format
+/// [`folded`](crate::pool::profile::folded) renders the table in folded-stack format
 /// (`pool;worker3;steal 120400` per line), directly consumable by
 /// standard flamegraph tooling. The aggregate totals surface as
 /// `pool.profile.*` gauges in every metrics snapshot.

@@ -4,7 +4,7 @@
 //! call it directly to build the serial reference results.
 
 use amperebleed::characterize::{self, CharacterizeConfig};
-use amperebleed::defend::{self, AttackKind, DefendConfig};
+use amperebleed::defend::{self, AttackKind, DefendConfig, UNDEFENDED};
 use amperebleed::fingerprint::{self, FingerprintConfig};
 use amperebleed::rsa_attack::{self, RsaAttackConfig};
 use amperebleed::{covert, AttackError, Platform};
@@ -114,20 +114,21 @@ pub fn ready_platform(seed: u64) -> Result<Platform, ExecError> {
 /// [`ExecError`] for unknown verbs, bad configs, and campaign failures.
 pub fn execute(verb: &str, seed: u64, config: &Value) -> Result<Value, ExecError> {
     let _span = obs::trace::span("serve.exec", static_verb(verb));
-    if uses_board_platform(verb) {
-        let platform = ready_platform(seed)?;
-        execute_on_inner(&platform, verb, seed, config)
+    let board = if uses_board_platform(verb) {
+        Some(ready_platform(seed)?)
     } else {
-        execute_pure(verb, seed, config)
-    }
+        None
+    };
+    run_verb(board.as_ref(), verb, seed, config)
 }
 
-/// Runs a platform verb against an existing ready platform, or delegates
-/// to the pure path for the rest. Byte-identical to [`execute`] with the
-/// platform's construction seed **only while the platform is pristine**:
-/// campaign sweeps drive the power-virus activation timeline, so a used
-/// platform answers differently — which is why the farm boots a fresh
-/// image per run instead of caching one (see `farm::Board`).
+/// Runs a platform verb against an existing ready platform; the other
+/// verbs build their own platforms from `seed` and ignore it.
+/// Byte-identical to [`execute`] with the platform's construction seed
+/// **only while the platform is pristine**: campaign sweeps drive the
+/// power-virus activation timeline, so a used platform answers
+/// differently — which is why the farm boots a fresh image per run
+/// instead of caching one (see `farm::Board`).
 ///
 /// # Errors
 ///
@@ -139,50 +140,49 @@ pub fn execute_on(
     config: &Value,
 ) -> Result<Value, ExecError> {
     let _span = obs::trace::span("serve.exec", static_verb(verb));
-    execute_on_inner(platform, verb, seed, config)
+    run_verb(Some(platform), verb, seed, config)
 }
 
-fn execute_on_inner(
-    platform: &Platform,
+/// The one match over every verb. `board` is the ready platform the
+/// [`uses_board_platform`] verbs run on; the rest build their own
+/// platforms from `seed`.
+fn run_verb(
+    board: Option<&Platform>,
     verb: &str,
     seed: u64,
     config: &Value,
 ) -> Result<Value, ExecError> {
-    match verb {
-        "quickstart" => {
-            let samples = quickstart_samples(config)?;
-            let report = characterize::quicklook(platform, samples)?;
-            Ok(characterize_result(&report))
-        }
-        "characterize" => {
-            let cfg = characterize_config(config)?;
-            let report = characterize::run(platform, &cfg)?;
-            Ok(characterize_result(&report))
-        }
-        _ => execute_pure(verb, seed, config),
-    }
-}
-
-/// Verbs that build their own platforms internally from `seed`.
-fn execute_pure(verb: &str, seed: u64, config: &Value) -> Result<Value, ExecError> {
+    let board = || board.ok_or_else(|| ExecError::internal(format!("`{verb}` needs a board")));
     match verb {
         "ping" => {
             expect_no_overrides(config, "ping")?;
             Ok(obj(vec![("pong", Value::Bool(true))]))
         }
+        "quickstart" => {
+            let platform = board()?;
+            let samples = quickstart_samples(config)?;
+            let report = characterize::quicklook(platform, samples)?;
+            Ok(characterize_result(&report))
+        }
+        "characterize" => {
+            let platform = board()?;
+            let cfg = characterize_config(config)?;
+            let report = characterize::run(platform, &cfg)?;
+            Ok(characterize_result(&report))
+        }
         "fingerprint" => {
             let (cfg, n_models) = fingerprint_config(config, seed)?;
-            let grid = fingerprint::run_with(&cfg, n_models, &Pool::serial())?;
+            let grid = fingerprint::run(&cfg, n_models, &Pool::serial(), UNDEFENDED)?;
             Ok(fingerprint_result(&grid))
         }
         "rsa" => {
             let cfg = rsa_config(config, seed)?;
-            let report = rsa_attack::run(&cfg)?;
+            let report = rsa_attack::run(&cfg, UNDEFENDED)?;
             Ok(rsa_result(&report))
         }
         "covert" => {
             let (cfg, payload) = covert_config(config)?;
-            let (rx, ber) = covert::round_trip(&cfg, &payload, seed)?;
+            let (rx, ber) = covert::round_trip(&cfg, &payload, seed, UNDEFENDED)?;
             Ok(obj(vec![
                 ("sent", Value::Str(String::from_utf8_lossy(&payload).into())),
                 (
@@ -198,7 +198,7 @@ fn execute_pure(verb: &str, seed: u64, config: &Value) -> Result<Value, ExecErro
         }
         "defend" => {
             let cfg = defend_config(config, seed)?;
-            let report = defend::run_with(&cfg, &Pool::serial())?;
+            let report = defend::run(&cfg, &Pool::serial())?;
             Ok(defend_result(&report))
         }
         other => Err(ExecError {
@@ -210,18 +210,33 @@ fn execute_pure(verb: &str, seed: u64, config: &Value) -> Result<Value, ExecErro
 
 // --- config override parsing ------------------------------------------
 
-fn overrides<'a>(config: &'a Value, verb: &str) -> Result<&'a [(String, Value)], ExecError> {
-    match config {
-        Value::Null => Ok(&[]),
-        Value::Object(fields) => Ok(fields),
-        _ => Err(ExecError::bad_config(format!(
-            "`{verb}` config must be an object"
-        ))),
+/// The config's override fields, sorted by key. The store addresses a
+/// request by its canonical config JSON, which sorts keys, so neither a
+/// result nor an error may depend on the order the request lists its
+/// overrides in: a key given twice is rejected, and the rest apply in
+/// key order.
+fn overrides<'a>(config: &'a Value, verb: &str) -> Result<Vec<&'a (String, Value)>, ExecError> {
+    let mut fields: Vec<&(String, Value)> = match config {
+        Value::Null => Vec::new(),
+        Value::Object(fields) => fields.iter().collect(),
+        _ => {
+            return Err(ExecError::bad_config(format!(
+                "`{verb}` config must be an object"
+            )))
+        }
+    };
+    fields.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut pairs = fields.iter().zip(fields.iter().skip(1));
+    if let Some(((key, _), _)) = pairs.find(|(a, b)| a.0 == b.0) {
+        return Err(ExecError::bad_config(format!(
+            "`{verb}` config key `{key}` is given more than once"
+        )));
     }
+    Ok(fields)
 }
 
 fn expect_no_overrides(config: &Value, verb: &str) -> Result<(), ExecError> {
-    match overrides(config, verb)? {
+    match overrides(config, verb)?.as_slice() {
         [] => Ok(()),
         [(key, _), ..] => Err(ExecError::bad_config(format!(
             "`{verb}` takes no config overrides (got `{key}`)"
@@ -270,8 +285,15 @@ fn quickstart_samples(config: &Value) -> Result<usize, ExecError> {
 }
 
 fn characterize_config(config: &Value) -> Result<CharacterizeConfig, ExecError> {
+    let fields = overrides(config, "characterize")?;
+    let given = |name: &str| fields.iter().any(|(key, _)| key == name);
+    if given("level_step") && given("levels") {
+        return Err(ExecError::bad_config(
+            "`level_step` and `levels` both set the sweep levels; give one of them",
+        ));
+    }
     let mut cfg = CharacterizeConfig::quick();
-    for (key, v) in overrides(config, "characterize")? {
+    for (key, v) in fields {
         match key.as_str() {
             "level_step" => {
                 let step = need_usize(key, v)?.max(1);
@@ -525,6 +547,24 @@ mod tests {
             execute("ping", 1, &Value::Array(vec![])).unwrap_err().kind,
             "bad_config"
         );
+        let twice = sim_rt::json::parse(r#"{"samples_per_level":20,"samples_per_level":30}"#)
+            .expect("valid JSON");
+        let err = execute("quickstart", 1, &twice).unwrap_err();
+        assert_eq!(err.kind, "bad_config");
+        assert!(
+            err.message.contains("`samples_per_level`"),
+            "{}",
+            err.message
+        );
+        let both =
+            sim_rt::json::parse(r#"{"levels":[0,160],"level_step":80}"#).expect("valid JSON");
+        let err = execute("characterize", 1, &both).unwrap_err();
+        assert_eq!(err.kind, "bad_config");
+        assert!(
+            err.message.contains("`level_step` and `levels`"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]
@@ -586,6 +626,53 @@ mod tests {
             execute("defend", 1, &cfg).unwrap_err().kind,
             "invalid_parameter"
         );
+    }
+
+    /// Every multi-key config the serve tests send, plus shapes that set
+    /// one field twice: each answers the same whichever order its keys
+    /// come in, because the store cannot tell the two orders apart.
+    #[test]
+    fn override_order_does_not_change_the_answer() {
+        let cases = [
+            (
+                "characterize",
+                r#"{"level_step":40,"samples_per_level":50}"#,
+            ),
+            (
+                "characterize",
+                r#"{"level_step":80,"levels":[0,160],"samples_per_level":20}"#,
+            ),
+            (
+                "quickstart",
+                r#"{"samples_per_level":20,"samples_per_level":30}"#,
+            ),
+            (
+                "rsa",
+                r#"{"hamming_weights":[1,512,1024],"samples_per_key":400}"#,
+            ),
+            (
+                "fingerprint",
+                r#"{"traces_per_model":4,"capture_seconds":1.0,"resample_len":16,"folds":2,"n_models":2}"#,
+            ),
+            (
+                "defend",
+                r#"{"attack":"covert","layers":["jitter","noise","throttle"],"strengths":[0.0,1.0],"payload":"det"}"#,
+            ),
+            ("ping", r#"{"b":1,"a":2}"#),
+        ];
+        for (verb, text) in cases {
+            let Ok(Value::Object(fields)) = sim_rt::json::parse(text) else {
+                panic!("{text} is not a JSON object");
+            };
+            let reversed = Value::Object(fields.iter().rev().cloned().collect());
+            let forward = execute(verb, 5, &Value::Object(fields));
+            let backward = execute(verb, 5, &reversed);
+            assert_eq!(
+                forward.map(|v| v.to_json()),
+                backward.map(|v| v.to_json()),
+                "{verb} {text}"
+            );
+        }
     }
 
     #[test]

@@ -129,22 +129,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds a scheduler over `farm`, executing groups on `pool`.
-    pub fn new(cfg: SchedConfig, farm: Farm, pool: Pool) -> Scheduler {
-        Scheduler::with_store(cfg, farm, pool, None)
-    }
-
-    /// Builds a scheduler backed by a content-addressed result store.
+    /// Builds a scheduler over `farm`, executing groups on `pool`, and
+    /// backed by a content-addressed result store when `store` is set.
     /// Lookups happen on the connection thread *before* admission
     /// control: a hit answers immediately without consuming a token,
     /// quota slot, queue slot, or board; a miss runs normally and the
     /// computed result is inserted for the next taker.
-    pub fn with_store(
-        cfg: SchedConfig,
-        farm: Farm,
-        pool: Pool,
-        store: Option<Arc<Store>>,
-    ) -> Scheduler {
+    pub fn new(cfg: SchedConfig, farm: Farm, pool: Pool, store: Option<Arc<Store>>) -> Scheduler {
         Scheduler {
             cfg,
             farm,
@@ -783,7 +774,7 @@ mod tests {
     }
 
     fn sched(cfg: SchedConfig) -> Scheduler {
-        Scheduler::new(cfg, Farm::new(5, 1), Pool::serial())
+        Scheduler::new(cfg, Farm::new(5, 1), Pool::serial(), None)
     }
 
     fn ping(id: i64) -> Request {

@@ -114,7 +114,7 @@ impl Server {
                 Store::open(store_cfg).map_err(|e| std::io::Error::other(e.to_string()))?,
             )),
         };
-        let scheduler = Arc::new(Scheduler::with_store(config.sched, farm, pool, store));
+        let scheduler = Arc::new(Scheduler::new(config.sched, farm, pool, store));
         Ok(Server {
             listener,
             scheduler,
@@ -241,7 +241,8 @@ fn connection_loop(read_half: TcpStream, write_half: TcpStream, scheduler: &Sche
             continue;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
-            break;
+            bad_request("request line is not valid UTF-8".into());
+            continue;
         };
         let trimmed = text.trim();
         if trimmed.is_empty() {

@@ -315,6 +315,21 @@ fn malformed_lines_answer_bad_request() {
         let resp = next_response();
         assert_eq!(resp.id, 2);
         assert!(resp.is_ok(), "ping after the long line: {:?}", resp.error);
+
+        stream
+            .write_all(b"\xff\xfe\n{\"id\":3,\"verb\":\"ping\"}\n")
+            .unwrap();
+        let resp = next_response();
+        assert_eq!(resp.error_kind.as_deref(), Some("bad_request"));
+        let message = resp.error.expect("bad_request carries a message");
+        assert!(message.contains("UTF-8"), "{message}");
+        let resp = next_response();
+        assert_eq!(resp.id, 3);
+        assert!(
+            resp.is_ok(),
+            "ping after the non-UTF-8 line: {:?}",
+            resp.error
+        );
     });
 }
 

@@ -26,7 +26,12 @@ fn guard() -> std::sync::MutexGuard<'static, ()> {
 /// client request → scheduler batch → board → campaign phases.
 fn serve_forest(threads: usize) -> String {
     let _ = obs::trace::take();
-    let s = Scheduler::new(SchedConfig::default(), Farm::new(11, 4), Pool::new(threads));
+    let s = Scheduler::new(
+        SchedConfig::default(),
+        Farm::new(11, 4),
+        Pool::new(threads),
+        None,
+    );
     let responses = Arc::new(Mutex::new(Vec::new()));
     let sink_responses = Arc::clone(&responses);
     let sink: Sink = Arc::new(move |resp| {

@@ -6,12 +6,14 @@
 //!
 //! Run with: `cargo run --release --example dpu_fingerprint`
 
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::fingerprint::{
     collect_corpus, evaluate_grid, FingerprintConfig, Fingerprinter, SensorChannel,
 };
 use amperebleed::{Channel, CurrentSampler, Platform};
 use dnn_models::{zoo, ModelArch};
 use dpu::DpuConfig;
+use sim_rt::Pool;
 use zynq_soc::{PowerDomain, SimTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,10 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "offline phase: collecting {} traces ...",
         victims.len() * config.traces_per_model
     );
-    let corpus = collect_corpus(&victims, &config)?;
+    let corpus = collect_corpus(&victims, &config, Pool::global(), UNDEFENDED)?;
 
     eprintln!("training / cross-validating ...");
-    let grid = evaluate_grid(&corpus, &config, &[1.0, 2.0, 3.0])?;
+    let grid = evaluate_grid(&corpus, &config, &[1.0, 2.0, 3.0], Pool::global())?;
     println!("cross-validated accuracy (chance = {:.4}):", grid.chance());
     println!("{:<24} {:>8} {:>8} {:>8}", "sensor", "1s", "2s", "3s");
     for (sc, cells) in &grid.rows {

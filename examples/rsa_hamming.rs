@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example rsa_hamming`
 
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::rsa_attack::{self, RsaAttackConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.samples_per_key,
         config.sample_rate_hz
     );
-    let report = rsa_attack::run(&config)?;
+    let report = rsa_attack::run(&config, UNDEFENDED)?;
 
     println!(
         "{:>6} {:>12} {:>9} {:>12} {:>10} {:>10}",

@@ -3,6 +3,7 @@
 //! Hamming-weight recovery (Fig. 4).
 
 use amperebleed::characterize::{self, CharacterizeConfig};
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::fingerprint::{
     collect_corpus, evaluate_grid, FingerprintConfig, Fingerprinter, SensorChannel, TABLE3_CHANNELS,
 };
@@ -12,6 +13,7 @@ use dnn_models::zoo;
 use dpu::DpuConfig;
 use fpga_fabric::ring_oscillator::RoConfig;
 use fpga_fabric::virus::VirusConfig;
+use sim_rt::Pool;
 use zynq_soc::{PowerDomain, SimTime};
 
 #[test]
@@ -47,8 +49,8 @@ fn fingerprinting_identifies_figure_three_models() {
     .map(|n| models.iter().find(|m| &m.name == n).unwrap())
     .collect();
     let config = FingerprintConfig::quick();
-    let corpus = collect_corpus(&six, &config).unwrap();
-    let grid = evaluate_grid(&corpus, &config, &[1.0, 2.0]).unwrap();
+    let corpus = collect_corpus(&six, &config, Pool::global(), UNDEFENDED).unwrap();
+    let grid = evaluate_grid(&corpus, &config, &[1.0, 2.0], Pool::global()).unwrap();
 
     let fpga_current = SensorChannel {
         domain: PowerDomain::FpgaLogic,
@@ -95,7 +97,7 @@ fn online_attack_on_unseen_capture() {
         .map(|n| models.iter().find(|m| &m.name == n).unwrap())
         .collect();
     let config = FingerprintConfig::quick();
-    let corpus = collect_corpus(&four, &config).unwrap();
+    let corpus = collect_corpus(&four, &config, Pool::global(), UNDEFENDED).unwrap();
     let fp = Fingerprinter::train(
         &corpus,
         SensorChannel {
@@ -131,7 +133,7 @@ fn online_attack_on_unseen_capture() {
 
 #[test]
 fn rsa_hamming_weight_recovery() {
-    let report = rsa_attack::run(&RsaAttackConfig::quick()).unwrap();
+    let report = rsa_attack::run(&RsaAttackConfig::quick(), UNDEFENDED).unwrap();
     // Current: every group separable; power: strictly fewer groups than
     // current on the full 17-key sweep (quick sweep uses 5 widely spaced
     // keys, so power may still separate all of them — check ordering only).
@@ -159,7 +161,7 @@ fn rsa_power_channel_collapses_adjacent_groups() {
         samples_per_key: 6_000,
         ..RsaAttackConfig::quick()
     };
-    let report = rsa_attack::run(&config).unwrap();
+    let report = rsa_attack::run(&config, UNDEFENDED).unwrap();
     assert_eq!(report.current_separability.distinguishable, 3);
     assert!(
         report.power_separability.distinguishable < 3,

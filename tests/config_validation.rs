@@ -5,6 +5,7 @@
 
 use amperebleed::campaign::CampaignConfig;
 use amperebleed::characterize::{self, CharacterizeConfig};
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::fingerprint::{self, FingerprintConfig};
 use amperebleed::rsa_attack::{self, RsaAttackConfig};
 use amperebleed::{covert, AttackError, Platform};
@@ -93,26 +94,13 @@ fn characterize_rejects_out_of_range_sample_rates() {
 }
 
 #[test]
-fn characterize_parallel_validates_before_spawning_jobs() {
-    let cfg = CharacterizeConfig {
-        samples_per_level: 0,
-        ..CharacterizeConfig::quick()
-    };
-    let factory = |_level: u32| Ok(ready_platform(403));
-    assert_invalid(
-        characterize::run_parallel(factory, &cfg, &Pool::serial()),
-        "parallel zero samples",
-    );
-}
-
-#[test]
 fn fingerprint_rejects_degenerate_configs() {
     let zero_traces = FingerprintConfig {
         traces_per_model: 0,
         ..FingerprintConfig::quick()
     };
     assert_invalid(
-        fingerprint::run_with(&zero_traces, 2, &Pool::serial()),
+        fingerprint::run(&zero_traces, 2, &Pool::serial(), UNDEFENDED),
         "zero traces_per_model",
     );
 
@@ -121,7 +109,7 @@ fn fingerprint_rejects_degenerate_configs() {
         ..FingerprintConfig::quick()
     };
     assert_invalid(
-        fingerprint::run_with(&zero_capture, 2, &Pool::serial()),
+        fingerprint::run(&zero_capture, 2, &Pool::serial(), UNDEFENDED),
         "zero capture_seconds",
     );
 
@@ -130,7 +118,7 @@ fn fingerprint_rejects_degenerate_configs() {
         ..FingerprintConfig::quick()
     };
     assert_invalid(
-        fingerprint::run_with(&zero_resample, 2, &Pool::serial()),
+        fingerprint::run(&zero_resample, 2, &Pool::serial(), UNDEFENDED),
         "zero resample_len",
     );
 
@@ -139,16 +127,21 @@ fn fingerprint_rejects_degenerate_configs() {
         ..FingerprintConfig::quick()
     };
     assert_invalid(
-        fingerprint::run_with(&one_fold, 2, &Pool::serial()),
+        fingerprint::run(&one_fold, 2, &Pool::serial(), UNDEFENDED),
         "single fold",
     );
 
     assert_invalid(
-        fingerprint::run_with(&FingerprintConfig::quick(), 0, &Pool::serial()),
+        fingerprint::run(&FingerprintConfig::quick(), 0, &Pool::serial(), UNDEFENDED),
         "zero models",
     );
     assert_invalid(
-        fingerprint::run_with(&FingerprintConfig::quick(), 10_000, &Pool::serial()),
+        fingerprint::run(
+            &FingerprintConfig::quick(),
+            10_000,
+            &Pool::serial(),
+            UNDEFENDED,
+        ),
         "more models than the zoo holds",
     );
 }
@@ -159,9 +152,8 @@ fn rsa_bounds_samples_per_key() {
         samples_per_key: rsa_attack::MAX_SAMPLES_PER_KEY + 1,
         ..RsaAttackConfig::quick()
     };
-    // `run` validates inside `run_hardened`, the `defend` sweep's RSA entry too.
     assert_over_bound(
-        rsa_attack::run(&over),
+        rsa_attack::run(&over, UNDEFENDED),
         "samples_per_key",
         rsa_attack::MAX_SAMPLES_PER_KEY,
     );
@@ -179,25 +171,28 @@ fn rsa_rejects_zero_samples_and_bad_statistics_settings() {
         samples_per_key: 0,
         ..RsaAttackConfig::quick()
     };
-    assert_invalid(rsa_attack::run(&zero_samples), "zero samples_per_key");
+    assert_invalid(
+        rsa_attack::run(&zero_samples, UNDEFENDED),
+        "zero samples_per_key",
+    );
 
     let bad_rate = RsaAttackConfig {
         sample_rate_hz: f64::NAN,
         ..RsaAttackConfig::quick()
     };
-    assert_invalid(rsa_attack::run(&bad_rate), "NaN sample rate");
+    assert_invalid(rsa_attack::run(&bad_rate, UNDEFENDED), "NaN sample rate");
 
     let bad_z = RsaAttackConfig {
         z_score: 0.0,
         ..RsaAttackConfig::quick()
     };
-    assert_invalid(rsa_attack::run(&bad_z), "zero z-score");
+    assert_invalid(rsa_attack::run(&bad_z, UNDEFENDED), "zero z-score");
 }
 
 #[test]
 fn covert_round_trip_rejects_empty_payload() {
     assert_invalid(
-        covert::round_trip(&CovertConfig::default(), b"", 7),
+        covert::round_trip(&CovertConfig::default(), b"", 7, UNDEFENDED),
         "empty payload",
     );
 }

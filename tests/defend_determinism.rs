@@ -11,12 +11,12 @@
 //!   nothing at strength zero, so the sensing path is the same code).
 
 use amperebleed::covert;
-use amperebleed::defend::{run_with, AttackKind, DefendConfig};
+use amperebleed::defend::{run, AttackKind, DefendConfig, UNDEFENDED};
 use sim_defend::LayerKind;
 use sim_rt::Pool;
 
 fn sweep(config: &DefendConfig, pool: &Pool) -> String {
-    run_with(config, pool).unwrap().render()
+    run(config, pool).unwrap().render()
 }
 
 #[test]
@@ -28,8 +28,8 @@ fn covert_sweep_report_is_byte_identical_at_1_2_and_8_workers() {
     assert_eq!(serial, two);
     assert_eq!(serial, eight);
     // The full report structure, not just its rendering.
-    let a = run_with(&config, &Pool::serial()).unwrap();
-    let b = run_with(&config, &Pool::new(8)).unwrap();
+    let a = run(&config, &Pool::serial()).unwrap();
+    let b = run(&config, &Pool::new(8)).unwrap();
     assert_eq!(a, b);
     for (pa, pb) in a.points.iter().zip(&b.points) {
         assert_eq!(pa.success.to_bits(), pb.success.to_bits());
@@ -49,12 +49,13 @@ fn fingerprint_sweep_report_is_byte_identical_across_pools() {
 #[test]
 fn zero_strength_point_equals_undefended_baseline_exactly() {
     let config = DefendConfig::quick(AttackKind::Covert);
-    let report = run_with(&config, &Pool::serial()).unwrap();
+    let report = run(&config, &Pool::serial()).unwrap();
     let zero = report.points[0];
     assert_eq!(zero.strength, 0.0);
     assert_eq!(zero.success.to_bits(), report.baseline.success.to_bits());
     // And both match a direct, defend-free run of the attack.
-    let (_rx, ber) = covert::round_trip(&config.covert, &config.payload, config.seed).unwrap();
+    let (_rx, ber) =
+        covert::round_trip(&config.covert, &config.payload, config.seed, UNDEFENDED).unwrap();
     let direct = amperebleed::defend::bsc_capacity(ber);
     assert_eq!(zero.success.to_bits(), direct.to_bits());
 }
@@ -72,7 +73,7 @@ fn all_zero_strength_sweep_is_flat_at_the_baseline() {
         LayerKind::Throttle,
     ];
     config.strengths = vec![0.0];
-    let report = run_with(&config, &Pool::serial()).unwrap();
+    let report = run(&config, &Pool::serial()).unwrap();
     assert_eq!(
         report.points[0].success.to_bits(),
         report.baseline.success.to_bits()

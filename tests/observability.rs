@@ -6,7 +6,8 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use amperebleed::campaign::{run, CampaignConfig};
-use amperebleed::fingerprint::{collect_corpus_with, FingerprintConfig, ModelCapture};
+use amperebleed::defend::UNDEFENDED;
+use amperebleed::fingerprint::{collect_corpus, FingerprintConfig, ModelCapture};
 use dnn_models::ModelArch;
 use obs::{Level, MemorySink, Sink};
 use sim_rt::Pool;
@@ -144,13 +145,13 @@ fn trace_level_instrumentation_does_not_perturb_determinism() {
 
     // Quietest possible run as the reference.
     let (baseline, _) = with_memory_sink(Level::Error, || {
-        collect_corpus_with(&refs, &config, &Pool::serial()).unwrap()
+        collect_corpus(&refs, &config, &Pool::serial(), UNDEFENDED).unwrap()
     });
     // Loudest possible run: trace-level events captured in memory, metrics
     // hot on every sensor read, work-stealing pool. Results must be
     // byte-identical — instrumentation never touches an RNG stream.
     let (noisy, sink) = with_memory_sink(Level::Trace, || {
-        collect_corpus_with(&refs, &config, &Pool::new(4)).unwrap()
+        collect_corpus(&refs, &config, &Pool::new(4), UNDEFENDED).unwrap()
     });
     assert!(
         sink.events().iter().any(|e| e.target == "hwmon.fs"),

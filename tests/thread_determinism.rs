@@ -8,9 +8,9 @@
 //! end — floating-point results are compared through their bit patterns,
 //! not with a tolerance.
 
+use amperebleed::defend::UNDEFENDED;
 use amperebleed::fingerprint::{
-    build_dataset, collect_corpus_with, evaluate_grid_with, FingerprintConfig, ModelCapture,
-    TABLE3_CHANNELS,
+    build_dataset, collect_corpus, evaluate_grid, FingerprintConfig, ModelCapture, TABLE3_CHANNELS,
 };
 use dnn_models::ModelArch;
 use sim_rt::Pool;
@@ -26,7 +26,7 @@ fn victims() -> Vec<&'static ModelArch> {
 fn collect(pool: &Pool) -> (Vec<ModelCapture>, FingerprintConfig) {
     let refs = victims();
     let config = FingerprintConfig::quick();
-    let corpus = collect_corpus_with(&refs, &config, pool).unwrap();
+    let corpus = collect_corpus(&refs, &config, pool, UNDEFENDED).unwrap();
     (corpus, config)
 }
 
@@ -74,9 +74,9 @@ fn feature_datasets_are_byte_identical_across_pools() {
 fn accuracy_grid_is_identical_at_1_2_and_8_threads() {
     let (corpus, config) = collect(&Pool::serial());
     let durations = [1.0, 2.0];
-    let serial = evaluate_grid_with(&corpus, &config, &durations, &Pool::serial()).unwrap();
-    let two = evaluate_grid_with(&corpus, &config, &durations, &Pool::new(2)).unwrap();
-    let eight = evaluate_grid_with(&corpus, &config, &durations, &Pool::new(8)).unwrap();
+    let serial = evaluate_grid(&corpus, &config, &durations, &Pool::serial()).unwrap();
+    let two = evaluate_grid(&corpus, &config, &durations, &Pool::new(2)).unwrap();
+    let eight = evaluate_grid(&corpus, &config, &durations, &Pool::new(8)).unwrap();
     assert_eq!(serial, two);
     assert_eq!(serial, eight);
     // Exact accuracy equality, bitwise: the grids went through identical
