@@ -67,6 +67,15 @@ pub const TABLE3_CHANNELS: [SensorChannel; 6] = [
     },
 ];
 
+/// Largest `traces_per_model` a run accepts: ten times the paper's 15.
+/// The corpus holds every trace at once, so the bound also bounds what
+/// one request can ask the allocator for.
+pub const MAX_TRACES_PER_MODEL: usize = 150;
+
+/// Largest `resample_len` a run accepts: ten times the paper's 96. Each
+/// feature vector is allocated at this length.
+pub const MAX_RESAMPLE_LEN: usize = 960;
+
 /// Parameters of the fingerprinting experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintConfig {
@@ -117,14 +126,21 @@ impl FingerprintConfig {
     ///
     /// # Errors
     ///
-    /// [`AttackError::InvalidParameter`] for zero trace counts, a
-    /// non-positive/non-finite capture length, a zero resample length, or
-    /// fewer than two cross-validation folds.
+    /// [`AttackError::InvalidParameter`] for a zero trace count or one
+    /// above [`MAX_TRACES_PER_MODEL`], a non-positive/non-finite capture
+    /// length, a zero resample length or one above [`MAX_RESAMPLE_LEN`],
+    /// or fewer than two cross-validation folds.
     pub fn validate(&self) -> Result<()> {
         if self.traces_per_model == 0 {
             return Err(AttackError::InvalidParameter(
                 "traces_per_model must be non-zero".into(),
             ));
+        }
+        if self.traces_per_model > MAX_TRACES_PER_MODEL {
+            return Err(AttackError::InvalidParameter(format!(
+                "traces_per_model {} exceeds its bound of {MAX_TRACES_PER_MODEL}",
+                self.traces_per_model
+            )));
         }
         if !self.capture_seconds.is_finite() || self.capture_seconds <= 0.0 {
             return Err(AttackError::InvalidParameter(format!(
@@ -137,10 +153,32 @@ impl FingerprintConfig {
                 "resample_len must be non-zero".into(),
             ));
         }
+        if self.resample_len > MAX_RESAMPLE_LEN {
+            return Err(AttackError::InvalidParameter(format!(
+                "resample_len {} exceeds its bound of {MAX_RESAMPLE_LEN}",
+                self.resample_len
+            )));
+        }
         if self.folds < 2 {
             return Err(AttackError::InvalidParameter(
                 "cross-validation needs at least two folds".into(),
             ));
+        }
+        Ok(())
+    }
+
+    /// Checks that a corpus of `traces` captures fills every
+    /// cross-validation fold: stratified folds deal one trace each.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::InvalidParameter`] when `folds` exceeds `traces`.
+    pub fn validate_folds(&self, traces: usize) -> Result<()> {
+        if self.folds > traces {
+            return Err(AttackError::InvalidParameter(format!(
+                "folds {} exceeds the {traces} traces the run collects",
+                self.folds
+            )));
         }
         Ok(())
     }
@@ -172,8 +210,10 @@ pub struct ModelCapture {
 ///
 /// # Errors
 ///
-/// Propagates platform deployment and capture errors, plus whatever
-/// `harden` returns.
+/// [`AttackError::InvalidParameter`] before any capture for a config
+/// that fails [`FingerprintConfig::validate`] or asks for more folds than
+/// the corpus will hold; otherwise propagates platform deployment and
+/// capture errors, plus whatever `harden` returns.
 pub fn collect_corpus(
     models: &[&ModelArch],
     config: &FingerprintConfig,
@@ -184,6 +224,7 @@ pub fn collect_corpus(
         return Err(AttackError::InvalidParameter("no victim models".into()));
     }
     config.validate()?;
+    config.validate_folds(models.len() * config.traces_per_model)?;
     let rate_hz = 1_000.0 / 35.0;
     let count = (config.capture_seconds * rate_hz).ceil() as usize;
     let jobs: Vec<(usize, usize)> = (0..models.len())
@@ -337,7 +378,9 @@ impl AccuracyGrid {
 ///
 /// # Errors
 ///
-/// Propagates dataset construction errors.
+/// [`AttackError::InvalidParameter`] for a config that fails
+/// [`FingerprintConfig::validate`] or has more folds than `corpus` has
+/// traces; otherwise propagates dataset construction errors.
 pub fn evaluate_grid(
     corpus: &[ModelCapture],
     config: &FingerprintConfig,
@@ -345,6 +388,7 @@ pub fn evaluate_grid(
     pool: &Pool,
 ) -> Result<AccuracyGrid> {
     config.validate()?;
+    config.validate_folds(corpus.len())?;
     let n_classes = corpus.iter().map(|c| c.label).max().unwrap_or(0) + 1;
     let cells_spec: Vec<(SensorChannel, f64)> = TABLE3_CHANNELS
         .iter()

@@ -16,7 +16,9 @@
 //!   `invalid_parameter`, `attack_failed`, `internal_error`}.
 //! * `shed` — admission control refused the request without running it:
 //!   `error_kind` ∈ {`rate_limited`, `quota_exceeded`, `queue_full`,
-//!   `shutting_down`} (the 429-style backpressure responses).
+//!   `shutting_down`} (the 429-style backpressure responses). A
+//!   connection past the server's cap reads one `shed` line of kind
+//!   `too_many_connections` (id −1) before the server closes it.
 //! * `timeout` — the request's deadline expired before a board picked it
 //!   up (`error_kind` = `deadline_exceeded`).
 //!

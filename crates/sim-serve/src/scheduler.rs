@@ -36,6 +36,12 @@ use crate::protocol::{Request, Response};
 /// buffer in tests).
 pub type Sink = Arc<dyn Fn(Response) + Send + Sync>;
 
+/// Counts one refusal of `kind` as `serve.shed.<kind>`: the scheduler's
+/// admission gates and the TCP front's connection cap share the family.
+pub(crate) fn count_shed(kind: &str) {
+    obs::metrics::counter(format!("serve.shed.{kind}")).inc();
+}
+
 /// Admission and batching knobs.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
@@ -543,7 +549,7 @@ impl Scheduler {
     }
 
     fn shed(&self, req: &Request, sink: Sink, kind: &'static str, message: &str) {
-        obs::metrics::counter(format!("serve.shed.{kind}")).inc();
+        count_shed(kind);
         {
             let mut tenants = self
                 .tenants

@@ -115,6 +115,7 @@ const DYNAMIC_METRICS: &[&str] = &[
     "serve.shed.quota_exceeded",
     "serve.shed.rate_limited",
     "serve.shed.shutting_down",
+    "serve.shed.too_many_connections",
 ];
 
 #[test]

@@ -3,11 +3,14 @@
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::time::Duration;
 
 use sim_rt::pool::{service_scope, Pool};
 use sim_rt::rng::derive_seed;
 use sim_rt::ser::Value;
-use sim_serve::{exec, Client, SchedConfig, Server, ServerConfig, ServerHandle};
+use sim_serve::{
+    exec, protocol, Client, Response, SchedConfig, Server, ServerConfig, ServerHandle,
+};
 
 /// Runs `f` against a live server, guaranteeing drain + join even if the
 /// body panics (the drop guard fires the ctrl-channel shutdown).
@@ -275,6 +278,135 @@ fn oversized_sample_count_is_refused_and_connection_keeps_serving() {
         );
         let resp = conn.request("ping", None, Value::Null).unwrap();
         assert!(resp.is_ok());
+    });
+}
+
+/// Sends one raw request line on a fresh connection and reads one
+/// response line, failing after 10 s instead of waiting forever.
+fn request_within_timeout(addr: SocketAddr, line: &str) -> Response {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(line.as_bytes()).expect("send");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("no response within 10 s: the server is wedged");
+    protocol::parse_response(reply.trim()).expect("response line")
+}
+
+/// More folds than the run collects traces is refused with a typed error
+/// before any capture, and the server keeps serving other connections.
+/// The request once panicked inside cross-validation, which killed the
+/// dispatcher and left every connection unanswered. The server runs on a
+/// detached thread, so a wedged server fails this test on its read
+/// timeout instead of hanging it in `with_server`'s join.
+#[test]
+fn excess_fingerprint_folds_are_refused_and_server_keeps_serving() {
+    let server = Server::bind(ServerConfig {
+        boards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = server.handle();
+    // sim-lint: allow(stray-spawn)
+    let join = std::thread::spawn(move || server.run());
+
+    let resp = request_within_timeout(
+        addr,
+        "{\"id\":1,\"verb\":\"fingerprint\",\"config\":{\"folds\":100}}\n",
+    );
+    assert_eq!(resp.status, "error");
+    assert_eq!(resp.error_kind.as_deref(), Some("invalid_parameter"));
+    let message = resp.error.unwrap_or_default();
+    assert!(message.contains("folds"), "{message}");
+    let resp = request_within_timeout(addr, "{\"id\":2,\"verb\":\"ping\"}\n");
+    assert!(
+        resp.is_ok(),
+        "ping on a second connection: {:?}",
+        resp.error
+    );
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+/// Pipelined responses leave as soon as they are written. Before accepted
+/// sockets were `TCP_NODELAY`, each response written behind an
+/// unacknowledged one waited for the client's delayed ACK, about 40 ms a
+/// round.
+#[test]
+fn pipelined_responses_leave_without_waiting_for_an_ack() {
+    with_server(ServerConfig::default(), |addr, _| {
+        let mut conn = Client::connect(addr).unwrap();
+        // 10 rounds of 4 stay under the tenant's burst of 50 tokens.
+        let mut rounds_ns: Vec<u64> = (0..10)
+            .map(|_| {
+                let t0 = obs::clock::monotonic_ns();
+                let ids: Vec<i64> = (0..4)
+                    .map(|_| conn.send("ping", None, Value::Null).unwrap())
+                    .collect();
+                for id in ids {
+                    let resp = conn.wait(id).unwrap();
+                    assert!(resp.is_ok(), "{:?}", resp.error);
+                }
+                obs::clock::monotonic_ns() - t0
+            })
+            .collect();
+        rounds_ns.sort_unstable();
+        let median_ms = rounds_ns[rounds_ns.len() / 2] as f64 / 1e6;
+        assert!(
+            median_ms < 20.0,
+            "median round of 4 pipelined pings took {median_ms:.3} ms: {rounds_ns:?} ns"
+        );
+    });
+}
+
+/// A connection past `MAX_CONNECTIONS` reads one typed `shed` line and is
+/// closed; once an open connection closes, a new one is served.
+#[test]
+fn connections_past_the_cap_are_shed_until_one_closes() {
+    use sim_serve::server::MAX_CONNECTIONS;
+    with_server(ServerConfig::default(), |addr, _| {
+        let mut open: Vec<Client> = (0..MAX_CONNECTIONS)
+            .map(|i| {
+                let mut conn = Client::connect(addr).expect("connect");
+                // Any answer proves the connection was accepted; a tenant
+                // per connection keeps every answer inside its burst.
+                conn.set_tenant(format!("cap-{i}"));
+                let resp = conn.request("ping", None, Value::Null).expect("ping");
+                assert!(resp.is_ok(), "connection {i}: {:?}", resp.error);
+                conn
+            })
+            .collect();
+
+        // Read before writing: the server closes a refused connection,
+        // and closing a socket with unread input resets it.
+        let mut refused = Client::connect(addr).expect("connect past the cap");
+        let shed = refused.wait(-1).expect("the shed line");
+        assert_eq!(shed.status, "shed");
+        assert_eq!(shed.error_kind.as_deref(), Some("too_many_connections"));
+        assert!(
+            refused.wait(-1).is_err(),
+            "the server closes a refused connection"
+        );
+
+        drop(open.pop());
+        // The closed connection's reader leaves the table on its own
+        // thread, so retry until it has.
+        let served = (0..1_000).any(|_| {
+            let ok = Client::connect(addr)
+                .and_then(|mut conn| conn.request("ping", None, Value::Null))
+                .is_ok_and(|resp| resp.is_ok());
+            if !ok {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            ok
+        });
+        assert!(served, "no new connection was served after one closed");
     });
 }
 

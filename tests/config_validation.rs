@@ -147,6 +147,68 @@ fn fingerprint_rejects_degenerate_configs() {
 }
 
 #[test]
+fn fingerprint_bounds_traces_per_model() {
+    // 2^40 traces per model once aborted the server in the corpus
+    // allocation.
+    let over = FingerprintConfig {
+        traces_per_model: 1 << 40,
+        ..FingerprintConfig::quick()
+    };
+    assert_over_bound(
+        fingerprint::run(&over, 2, &Pool::serial(), UNDEFENDED),
+        "traces_per_model",
+        fingerprint::MAX_TRACES_PER_MODEL,
+    );
+    let at_bound = FingerprintConfig {
+        traces_per_model: fingerprint::MAX_TRACES_PER_MODEL,
+        ..FingerprintConfig::quick()
+    };
+    at_bound.validate().unwrap();
+    FingerprintConfig::default().validate().unwrap();
+}
+
+#[test]
+fn fingerprint_bounds_resample_len() {
+    let over = FingerprintConfig {
+        resample_len: 1 << 40,
+        ..FingerprintConfig::quick()
+    };
+    assert_over_bound(
+        fingerprint::run(&over, 2, &Pool::serial(), UNDEFENDED),
+        "resample_len",
+        fingerprint::MAX_RESAMPLE_LEN,
+    );
+    let at_bound = FingerprintConfig {
+        resample_len: fingerprint::MAX_RESAMPLE_LEN,
+        ..FingerprintConfig::quick()
+    };
+    at_bound.validate().unwrap();
+}
+
+#[test]
+fn fingerprint_rejects_more_folds_than_traces() {
+    // quick() collects 6 traces per model: 18 over three models. A fold
+    // count above that once panicked inside cross-validation and took
+    // the server's dispatcher down with it.
+    let config = FingerprintConfig {
+        folds: 100,
+        ..FingerprintConfig::quick()
+    };
+    let traces = 3 * config.traces_per_model;
+    assert_over_bound(
+        fingerprint::run(&config, 3, &Pool::serial(), UNDEFENDED),
+        "folds",
+        traces,
+    );
+    FingerprintConfig {
+        folds: traces,
+        ..config
+    }
+    .validate_folds(traces)
+    .unwrap();
+}
+
+#[test]
 fn rsa_bounds_samples_per_key() {
     let over = RsaAttackConfig {
         samples_per_key: rsa_attack::MAX_SAMPLES_PER_KEY + 1,
